@@ -32,12 +32,16 @@ class PatternSet:
         """Masks stacked as a (p, n) boolean array."""
         return np.array([p.mask for p in self.patterns], dtype=bool)
 
-    def find(self, mask):
-        key = tuple(int(b) for b in mask)
-        for k, p in enumerate(self.patterns):
-            if tuple(int(b) for b in p.mask) == key:
-                return k
-        return -1
+
+def mask_list(patterns):
+    """Masks of a PatternSet, or of a sequence of patterns or masks, as uint8."""
+    items = patterns.patterns if isinstance(patterns, PatternSet) else patterns
+    return [np.asarray(getattr(p, "mask", p), dtype=np.uint8) for p in items]
+
+
+def find_mask(masks, mask):
+    """Position of `mask` in the sequence `masks`, or -1 when absent."""
+    return next((j for j, m in enumerate(masks) if np.array_equal(m, mask)), -1)
 
 
 def pattern_of(x, h):

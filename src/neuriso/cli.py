@@ -23,13 +23,13 @@ from .ensembles import MATRIX_KINDS, gen_gmm, gmm_success_bound
 from .errors import (InconsistentSolutionError, InvalidInputError,
                      NeurisoError)
 from .experiments import (GridConfig, METRICS, PLANTS, build_cell,
-                          emit_plots, load_config, run_beta_sweep, run_grid)
+                          emit_plots, load_config, run_beta_sweep, run_grid,
+                          solve_program, write_text)
 from .isometry import (nic_linear, nic_multi, nic_relu_single, nnic_single,
                        report_to_csv, snic_orth)
 from .recovery import (PROGRAMS, assess_recovery, build_program,
                        network_to_text, predict, reconstruct_network)
-from .solvers import (solve_cone_constrained, solve_group_lasso,
-                      solve_group_min_norm)
+from .solvers import solution_to_csv
 from .theory import (c1_coef, c2_coef, c3_coef, curve_g1, curve_g2,
                      curve_g_single, kinematic_bound, noisy_beta_interval,
                      solve_theta_star, threshold_check)
@@ -49,14 +49,6 @@ def _emit(pairs):
         elif isinstance(val, bool):
             val = int(val)
         print("%s=%s" % (key, val))
-
-
-def _write(path, text):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 def _int_list(raw):
@@ -121,14 +113,6 @@ def _grid_config(args, sweep=False):
     return replace(cfg, **updates) if updates else cfg
 
 
-def _solve_cell(cfg, prob, beta):
-    if cfg.program.endswith("_cone"):
-        return solve_cone_constrained(prob, cfg.solver)
-    if beta > 0.0:
-        return solve_group_lasso(prob, cfg.solver)
-    return solve_group_min_norm(prob, cfg.solver)
-
-
 # ------------------------------------------------------------------ commands
 
 def cmd_arrangements(args):
@@ -145,7 +129,7 @@ def cmd_arrangements(args):
            ("cover_bound", bound), ("contains_all_ones", ps.contains_all_ones),
            ("sampled", ps.sampled)])
     if args.out:
-        _write(args.out, to_text(ps))
+        write_text(to_text(ps), args.out)
     return 0
 
 
@@ -175,7 +159,7 @@ def cmd_nic(args):
            ("holds", rep.holds), ("max_lhs", rep.max_lhs),
            ("marginal", rep.marginal)])
     if args.out:
-        _write(args.out, report_to_csv(rep))
+        write_text(report_to_csv(rep), args.out)
     return 0
 
 
@@ -184,7 +168,7 @@ def _run_one_shot(args):
     inst = build_cell(cfg, args.d, args.n, args.sigma, 0)
     beta = cfg.beta if cfg.program == "reg_grelu_skip" else 0.0
     prob = build_program(inst.x, inst.patterns, inst.y, cfg.program, beta=beta)
-    sol = _solve_cell(cfg, prob, beta)
+    sol = solve_program(cfg, prob, beta)
     verdict = assess_recovery(sol, inst.model, inst.x, inst.patterns,
                               tol=cfg.success_tol,
                               whitened=cfg.program == "reg_grelu_skip")
@@ -202,12 +186,7 @@ def cmd_solve(args):
            ("iterations", sol.iterations), ("objective", sol.objective),
            ("converged", sol.converged)])
     if args.out:
-        lines = ["block,norm,active"]
-        active = set(sol.active_blocks)
-        for i, w in enumerate(sol.weights):
-            lines.append("%d,%s,%d" % (i, repr(float(np.linalg.norm(w))),
-                                       int(i in active)))
-        _write(args.out, "\n".join(lines) + "\n")
+        write_text(solution_to_csv(sol), args.out)
     return 0
 
 
@@ -227,7 +206,7 @@ def cmd_reconstruct(args):
             "%s; the gated optimum is not representable as a ReLU network "
             "on this instance - use a cone-constrained program "
             "(relu_skip_cone / relu_normal_cone)" % exc) from exc
-    _write(args.out, network_to_text(net))
+    write_text(network_to_text(net), args.out)
     resid = float(np.linalg.norm(predict(net, inst.x) - inst.y))
     _emit([("arch", net.arch), ("neurons", len(net.first_layer)),
            ("seed", inst.seed), ("success", verdict.success and sol.converged),
@@ -281,7 +260,7 @@ def cmd_theory(args):
             lines = ["gamma,value"]
             lines += ["%s,%s" % (repr(float(g)), repr(float(fn(float(g)))))
                       for g in gammas]
-            _write(os.path.join(out, name), "\n".join(lines) + "\n")
+            write_text("\n".join(lines) + "\n", os.path.join(out, name))
         axis = np.linspace(0.0, 1.0, args.grid_points)
         lines = ["gamma_a,gamma_b,value"]
         for a in axis:
@@ -289,7 +268,7 @@ def cmd_theory(args):
                 if a * a + b * b <= 1.0 + 1e-12:
                     lines.append("%s,%s,%s" % (repr(float(a)), repr(float(b)),
                                                repr(float(curve_g2(a, b)))))
-        _write(os.path.join(out, "g_orth.csv"), "\n".join(lines) + "\n")
+        write_text("\n".join(lines) + "\n", os.path.join(out, "g_orth.csv"))
         _emit([("out", out), ("points", args.points),
                ("grid_points", args.grid_points)])
     elif act == "kinematic":

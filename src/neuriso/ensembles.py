@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePlantError, InvalidInputError, InvalidShapeError
+from .numerics import as_matrix
 
 MATRIX_KINDS = ("gaussian", "cubic_gaussian", "haar", "whitened_cubic")
 
@@ -22,10 +23,6 @@ class PlantedModel:
     variant: str  # linear | relu | normalized_relu_sum
     neurons: list  # (w_i, r_i) pairs; r_i is the signed output weight
     noise_sigma: float = 0.0
-
-
-def _as_mat(x):
-    return x.mat if isinstance(x, DataMatrix) else np.asarray(x, dtype=float)
 
 
 def _nonzero(w):
@@ -84,7 +81,7 @@ def gen_matrix(kind, n, d, seed):
 def plant_direction(x, seed, how="gaussian"):
     """Planted direction: a standard normal draw, or the data's smallest
     right singular direction (sign fixed by its largest-magnitude entry)."""
-    mat = _as_mat(x)
+    mat = as_matrix(x)
     if how == "gaussian":
         return np.random.default_rng(seed).standard_normal(mat.shape[1])
     if how == "min_singular":
@@ -99,7 +96,7 @@ def gen_observation(model, x, seed):
     Noise z is i.i.d. N(0, sigma^2/n), already included in y and returned
     separately so its norm can feed the noisy recovery interval.
     """
-    mat = _as_mat(x)
+    mat = as_matrix(x)
     n = mat.shape[0]
     if model.variant == "linear":
         y = mat @ model.neurons[0][0]

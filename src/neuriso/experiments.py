@@ -22,6 +22,7 @@ from .ensembles import (MATRIX_KINDS, gen_matrix, gen_observation,
                         relu_plant)
 from .errors import InvalidInputError, NeurisoError, SchemaError
 from .isometry import nic_linear, nic_multi, nic_relu_single, nnic_single
+from .numerics import unit
 from .recovery import PROGRAMS, assess_recovery, build_program, test_distance
 from .solvers import (SolverOptions, solve_cone_constrained,
                       solve_group_lasso, solve_group_min_norm)
@@ -140,10 +141,6 @@ class CellInstance:
     test_seed: object  # SeedSequence for the held-out draw
 
 
-def _unit(v):
-    return v / np.linalg.norm(v)
-
-
 def _seed_sequence(cfg, d, n, sigma, trial):
     return np.random.SeedSequence(
         [cfg.master_seed, d, n, cfg.sigmas.index(float(sigma)), trial])
@@ -159,11 +156,11 @@ def _build_plant(kind, x, seed, sigma):
     # share one scale across cells
     if kind == "normalized_pair":
         rng = np.random.default_rng(seed)
-        a = _unit(rng.standard_normal(x.shape[1]))
+        a = unit(rng.standard_normal(x.shape[1]))
         b = rng.standard_normal(x.shape[1])
-        b = _unit(b - (a @ b) * a)
+        b = unit(b - (a @ b) * a)
         return normalized_plant([(a, 1.0), (b, 1.0)], sigma)
-    w = _unit(plant_direction(x, seed))
+    w = unit(plant_direction(x, seed))
     return linear_plant(w, sigma) if kind == "linear" else relu_plant(w, sigma)
 
 
@@ -211,7 +208,8 @@ def _nic_report(cfg, inst):
     return nic_multi(inst.x, inst.model.neurons, inst.patterns, normalized=True)
 
 
-def _solve(cfg, prob, beta):
+def solve_program(cfg, prob, beta):
+    """Solve an assembled program with the solver its family and beta call for."""
     if cfg.program.endswith("_cone"):
         return solve_cone_constrained(prob, cfg.solver)
     if beta > 0.0:
@@ -238,7 +236,7 @@ def _run_cell(cfg, d, n, sigma, trial):
             row["note"] = _note_join(row["note"], "nic failed: %s" % exc)
         beta = cfg.beta if cfg.program == "reg_grelu_skip" else 0.0
         prob = build_program(inst.x, inst.patterns, inst.y, cfg.program, beta=beta)
-        sol = _solve(cfg, prob, beta)
+        sol = solve_program(cfg, prob, beta)
         row["solver_iterations"] = sol.iterations
         verdict = assess_recovery(sol, inst.model, inst.x, inst.patterns,
                                   tol=cfg.success_tol,
@@ -292,7 +290,7 @@ def _run_sweep_point(cfg, d, n, sigma, beta, trial):
     try:
         inst = build_cell(cfg, d, n, sigma, trial)
         prob = build_program(inst.x, inst.patterns, inst.y, cfg.program, beta=beta)
-        sol = _solve(cfg, prob, beta)
+        sol = solve_program(cfg, prob, beta)
         verdict = assess_recovery(sol, inst.model, inst.x, inst.patterns,
                                   tol=cfg.success_tol, whitened=True)
         point["abs_distance"] = verdict.abs_distance
@@ -360,7 +358,8 @@ def sweep_to_csv(points):
     return "\n".join(lines) + "\n"
 
 
-def _write_text(text, path):
+def write_text(text, path):
+    """Write text to path, creating the parent directory when needed."""
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -369,11 +368,11 @@ def _write_text(text, path):
 
 
 def write_grid_csv(rows, path):
-    _write_text(grid_to_csv(rows), path)
+    write_text(grid_to_csv(rows), path)
 
 
 def write_sweep_csv(points, path):
-    _write_text(sweep_to_csv(points), path)
+    write_text(sweep_to_csv(points), path)
 
 
 # ------------------------------------------------------------------ plots
@@ -487,7 +486,7 @@ def emit_plots(csv_path):
             "png": "%s_%s.png" % (os.path.splitext(name)[0], metric),
         }
         path = "%s_plot_%s.py" % (stem, metric)
-        _write_text(script, path)
+        write_text(script, path)
         out.append(path)
     return out
 

@@ -1,19 +1,20 @@
 """Isometry-style recovery certificates for planted neurons.
 
-Each checker computes, per arrangement pattern, a correlation norm that
-must stay strictly below one for the associated group-l1 program to admit
-the planted solution as its unique optimum. Planted patterns are recorded
-in the report and excluded from the certified maximum (their own value is
-exactly one by construction).
+Each checker is a dual certificate: a least-norm multiplier lam that meets
+every planted block's target exactly, and, per arrangement pattern, the norm
+of lam seen through that pattern's block. That norm must stay strictly below
+one for the associated group-l1 program to admit the planted solution as its
+unique optimum. Planted patterns are recorded in the report and excluded from
+the certified maximum (their own value is exactly one by construction).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangements import PatternSet, pattern_of
+from .arrangements import find_mask, mask_list, pattern_of
 from .errors import DegenerateStackError, InvalidInputError, MissingPlantError
-from .numerics import compact_svd, stacked_pinv_apply
+from .numerics import as_matrix, compact_svd, stacked_pinv_apply, unit
 
 STRICT_MARGIN = 1e-8  # "holds" means max off-plant lhs < 1 - STRICT_MARGIN
 
@@ -26,80 +27,65 @@ class NicReport:
     holds: bool
     planted_indices: list
     marginal: bool  # certified maximum sits within STRICT_MARGIN of one
+    lam: np.ndarray = None  # the multiplier behind lhs; None for SNIC_ORTH
 
 
-def _as_mat(x):
-    return np.asarray(getattr(x, "mat", x), dtype=float)
-
-
-def _unit(w):
-    w = np.asarray(w, dtype=float)
-    nrm = np.linalg.norm(w)
-    if nrm == 0.0:
-        raise InvalidInputError("weight vector must be nonzero")
-    return w / nrm
-
-
-def _mask_list(patterns):
-    if isinstance(patterns, PatternSet):
-        return [np.asarray(p.mask, dtype=np.uint8) for p in patterns.patterns], patterns.sampled
-    return [np.asarray(m, dtype=np.uint8) for m in patterns], True
-
-
-def _with_plants(masks, sampled, plant_masks):
+def _with_plants(patterns, plant_masks):
     # ensure every planted mask is present; only sampled sets may be grown
-    out = list(masks)
+    masks = mask_list(patterns)
     for pm in plant_masks:
-        if not any(np.array_equal(pm, m) for m in out):
-            if not sampled:
+        if find_mask(masks, pm) < 0:
+            if not getattr(patterns, "sampled", True):
                 raise MissingPlantError("planted pattern missing from exact pattern set")
-            out.append(pm)
-    out.sort(key=tuple)
-    idx = [next(i for i, m in enumerate(out) if np.array_equal(m, pm)) for pm in plant_masks]
-    return out, idx
+            masks.append(pm)
+    masks.sort(key=tuple)
+    return masks, [find_mask(masks, pm) for pm in plant_masks]
 
 
-def _assemble(kind, masks, lhs, planted_idx):
+def _pattern_norms(mat, masks, lam, normalized):
+    """||A_j^T lam|| per mask: A_j = D_j X, or the left basis U_j of D_j X."""
+    if normalized:
+        return [np.linalg.norm(compact_svd(m[:, None] * mat).u.T @ lam) for m in masks]
+    return np.linalg.norm((np.array(masks, dtype=float) * lam) @ mat, axis=1)
+
+
+def _assemble(kind, mat, masks, lam, planted_idx, normalized=False):
+    lhs = [float(v) for v in _pattern_norms(mat, masks, lam, normalized)]
     skip = set(planted_idx)
-    off = [float(v) for i, v in enumerate(lhs) if i not in skip]
+    off = [v for i, v in enumerate(lhs) if i not in skip]
     mx = max(off) if off else 0.0
     return NicReport(kind=kind,
-                     per_pattern=list(zip(masks, [float(v) for v in lhs])),
+                     per_pattern=list(zip(masks, lhs)),
                      max_lhs=mx,
                      holds=mx < 1.0 - STRICT_MARGIN,
                      planted_indices=list(planted_idx),
-                     marginal=abs(mx - 1.0) <= STRICT_MARGIN)
+                     marginal=abs(mx - 1.0) <= STRICT_MARGIN,
+                     lam=lam)
 
 
 def nic_linear(x, w_star, patterns):
     """lhs_j = ||X^T D_j X (X^T X)^{-1} w_hat|| for every pattern."""
-    mat = _as_mat(x)
-    what = _unit(w_star)
+    mat = as_matrix(x)
+    what = unit(w_star)
     sv = compact_svd(mat)
     if sv.rank < mat.shape[1]:
         raise DegenerateStackError("X^T X is singular")
-    masks, _ = _mask_list(patterns)
-    c = sv.v @ ((sv.v.T @ what) / sv.s**2)
-    v = mat @ c
-    lhs = np.linalg.norm((np.array(masks, dtype=float) * v) @ mat, axis=1)
-    return _assemble("NIC_L", masks, lhs, [])
+    lam = mat @ (sv.v @ ((sv.v.T @ what) / sv.s**2))
+    return _assemble("NIC_L", mat, mask_list(patterns), lam, [])
 
 
 def nic_relu_single(x, w_star, patterns):
     """lhs_j = ||X^T D_j D_i* X (X^T D_i* X)^{-1} w_hat||, i* the plant."""
-    mat = _as_mat(x)
-    what = _unit(w_star)
-    planted = pattern_of(mat, what).mask
-    masks, sampled = _mask_list(patterns)
-    masks, pidx = _with_plants(masks, sampled, [planted])
+    mat = as_matrix(x)
+    what = unit(w_star)
+    masks, pidx = _with_plants(patterns, [pattern_of(mat, what).mask])
     mi = masks[pidx[0]].astype(float)
     gram = mat.T @ (mi[:, None] * mat)
     sig = np.linalg.svd(gram, compute_uv=False)
     if sig.size == 0 or sig[-1] <= 1e-12 * sig[0]:
         raise DegenerateStackError("X^T D X is singular at the planted pattern")
-    v = mi * (mat @ np.linalg.solve(gram, what))
-    lhs = np.linalg.norm((np.array(masks, dtype=float) * v) @ mat, axis=1)
-    return _assemble("NIC_1", masks, lhs, pidx)
+    lam = mi * (mat @ np.linalg.solve(gram, what))
+    return _assemble("NIC_1", mat, masks, lam, pidx)
 
 
 def _normalized_target(mat, mask, w):
@@ -114,15 +100,11 @@ def _normalized_target(mat, mask, w):
 
 def nnic_single(x, w_star, patterns):
     """lhs_j = ||U_j^T U_i* w_tilde|| with U from the compact SVD of D X."""
-    mat = _as_mat(x)
+    mat = as_matrix(x)
     w = np.asarray(w_star, dtype=float)
-    planted = pattern_of(mat, w).mask
-    masks, sampled = _mask_list(patterns)
-    masks, pidx = _with_plants(masks, sampled, [planted])
+    masks, pidx = _with_plants(patterns, [pattern_of(mat, w).mask])
     ui, wt = _normalized_target(mat, masks[pidx[0]], w)
-    t = ui @ wt
-    lhs = [np.linalg.norm(compact_svd(m[:, None] * mat).u.T @ t) for m in masks]
-    return _assemble("NNIC_1", masks, lhs, pidx)
+    return _assemble("NNIC_1", mat, masks, ui @ wt, pidx, normalized=True)
 
 
 def nic_multi(x, plant, patterns, normalized):
@@ -132,7 +114,7 @@ def nic_multi(x, plant, patterns, normalized):
     (r_i in {-1, +1}); normalized variant stacks U_s_i^T with targets
     r_i w_tilde_i. lhs_j applies the min-norm multiplier to pattern j.
     """
-    mat = _as_mat(x)
+    mat = as_matrix(x)
     plant = [(np.asarray(w, dtype=float), float(r)) for w, r in plant]
     if not plant:
         raise InvalidInputError("need at least one planted neuron")
@@ -143,11 +125,9 @@ def nic_multi(x, plant, patterns, normalized):
             raise InvalidInputError("plain output weights must be +1 or -1")
     pmasks = [pattern_of(mat, w).mask for w, _ in plant]
     for a in range(len(pmasks)):
-        for b in range(a + 1, len(pmasks)):
-            if np.array_equal(pmasks[a], pmasks[b]):
-                raise InvalidInputError("planted masks must be pairwise distinct")
-    masks, sampled = _mask_list(patterns)
-    masks, pidx = _with_plants(masks, sampled, pmasks)
+        if find_mask(pmasks[a + 1:], pmasks[a]) >= 0:
+            raise InvalidInputError("planted masks must be pairwise distinct")
+    masks, pidx = _with_plants(patterns, pmasks)
     if normalized:
         blocks, target = [], []
         for (w, r), pm in zip(plant, pmasks):
@@ -155,22 +135,19 @@ def nic_multi(x, plant, patterns, normalized):
             blocks.append(u.T)
             target.append(r * wt)
         lam = stacked_pinv_apply(blocks, np.concatenate(target))
-        lhs = [np.linalg.norm(compact_svd(m[:, None] * mat).u.T @ lam) for m in masks]
-        return _assemble("NNIC_K", masks, lhs, pidx)
+        return _assemble("NNIC_K", mat, masks, lam, pidx, normalized=True)
     blocks = [mat.T * pm.astype(float)[None, :] for pm in pmasks]
-    target = np.concatenate([r * _unit(w) for w, r in plant])
-    lam = stacked_pinv_apply(blocks, target)
-    lhs = np.linalg.norm((np.array(masks, dtype=float) * lam) @ mat, axis=1)
-    return _assemble("NIC_K", masks, lhs, pidx)
+    lam = stacked_pinv_apply(blocks, np.concatenate([r * unit(w) for w, r in plant]))
+    return _assemble("NIC_K", mat, masks, lam, pidx)
 
 
 def snic_orth(x, patterns):
     """Trace rule for column-orthonormal data: holds iff max tr(D_j) <= n - d."""
-    mat = _as_mat(x)
+    mat = as_matrix(x)
     n, d = mat.shape
     if np.max(np.abs(mat.T @ mat - np.eye(d))) > 1e-6:
         raise InvalidInputError("data matrix must be column-orthonormal")
-    masks, _ = _mask_list(patterns)
+    masks = mask_list(patterns)
     traces = [int(np.sum(m)) for m in masks]
     denom = n - d
     lhs = [tr / denom if denom > 0 else (0.0 if tr == 0 else np.inf) for tr in traces]

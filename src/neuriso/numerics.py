@@ -1,20 +1,12 @@
-"""Shared numerical kernels: truncated SVD, stacked pseudoinverse solves,
-one-dof chi-square functions, and tail quadrature.
-
-The chi-square pair is derived from the normal CDF (itself a thin erfc
-wrapper); nothing here is tabulated or fitted.
+"""Shared numerical kernels: input coercion, unit vectors, truncated SVD and
+minimum-norm solves of stacked linear systems.
 """
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .errors import AccuracyError, DegenerateStackError, InvalidInputError
-
-SQRT2 = math.sqrt(2.0)
+from .errors import DegenerateStackError, InvalidInputError
 
 
 @dataclass
@@ -25,6 +17,20 @@ class CompactSvd:
     s: np.ndarray  # (rank,)
     v: np.ndarray  # (d, rank)
     rank: int
+
+
+def as_matrix(x):
+    """The float array behind x: a DataMatrix's `mat`, or x itself."""
+    return np.asarray(getattr(x, "mat", x), dtype=float)
+
+
+def unit(w):
+    """w scaled to unit Euclidean norm; the zero vector is rejected."""
+    w = np.asarray(w, dtype=float)
+    nrm = np.linalg.norm(w)
+    if nrm == 0.0:
+        raise InvalidInputError("weight vector must be nonzero")
+    return w / nrm
 
 
 def compact_svd(m, rank_tol=1e-10):
@@ -61,70 +67,3 @@ def stacked_pinv_apply(blocks, target):
             % (s.shape[0], int(np.sum(sig > 1e-12 * (sig[0] if sig.size else 1.0))))
         )
     return vt.T @ ((u.T @ target) / sig)
-
-
-def normal_cdf(x):
-    """Standard normal CDF via erfc, accurate to ~1e-16."""
-    return 0.5 * math.erfc(-x / SQRT2)
-
-
-def normal_pdf(x):
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def chi2_survival(r):
-    """P(Z^2 > r) for standard normal Z, i.e. the 1-dof chi-square upper tail."""
-    if r < 0:
-        raise InvalidInputError("chi-square survival needs r >= 0")
-    return math.erfc(math.sqrt(r / 2.0))
-
-
-def chi2_quantile(p):
-    """Inverse CDF of the 1-dof chi-square law, by bisection to 1e-12."""
-    if not 0.0 <= p < 1.0:
-        raise InvalidInputError("quantile level must lie in [0, 1)")
-    if p == 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while 1.0 - chi2_survival(hi) < p:
-        hi *= 2.0
-        if hi > 1e6:  # p this close to 1 is outside the supported range
-            raise InvalidInputError("quantile level too close to 1")
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if 1.0 - chi2_survival(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _quad(f, a, b):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with np.errstate(all="ignore"):
-            return integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)
-
-
-def integrate_tail(f, a):
-    """Adaptive quadrature of int_a^inf f(x) dx to absolute error <= 1e-9.
-
-    Falls back to a truncated interval where |f| has decayed below 1e-14,
-    certified by doubling the cutoff; raises AccuracyError when neither
-    pass reaches the tolerance.
-    """
-    val, err = _quad(f, a, np.inf)
-    if err <= 1e-9 and math.isfinite(val):
-        return val
-    # locate a truncation point where the integrand is negligible, then
-    # certify by doubling: the two truncated integrals must agree
-    b = a + 1.0
-    for _ in range(60):
-        if abs(f(b)) < 1e-14 and abs(f(b + 0.5)) < 1e-14:
-            v1, e1 = _quad(f, a, b)
-            v2, e2 = _quad(f, a, a + 2.0 * (b - a))
-            if max(e1, e2) <= 1e-9 and abs(v2 - v1) <= 1e-10 and math.isfinite(v2):
-                return v2
-            break
-        b = a + 2.0 * (b - a)
-    raise AccuracyError("tail integral did not reach 1e-9 absolute accuracy")

@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangements import PatternSet, pattern_of
+from .arrangements import find_mask, mask_list, pattern_of
 from .ensembles import PlantedModel, gen_observation
 from .errors import (InconsistentSolutionError, InvalidInputError,
                      InvalidShapeError, MissingPlantError, NeurisoError,
                      SchemaError)
-from .numerics import compact_svd
+from .numerics import as_matrix, compact_svd
 from .solvers import GroupProblem
 
 ARCHES = ("plain", "skip", "normalized")
@@ -67,24 +67,6 @@ class RecoveryVerdict:
     extras: int  # spurious active blocks
 
 
-def _as_mat(x):
-    return np.asarray(getattr(x, "mat", x), dtype=float)
-
-
-def _masks(patterns):
-    if isinstance(patterns, PatternSet):
-        return [np.asarray(p.mask, dtype=np.uint8) for p in patterns.patterns]
-    return [np.asarray(getattr(p, "mask", p), dtype=np.uint8) for p in patterns]
-
-
-def _find_mask(masks, mask):
-    key = tuple(int(b) for b in mask)
-    for j, m in enumerate(masks):
-        if tuple(int(b) for b in m) == key:
-            return j
-    return -1
-
-
 def build_program(x, patterns, y, program, beta=0.0):
     """Assemble the group problem for one program family.
 
@@ -94,7 +76,7 @@ def build_program(x, patterns, y, program, beta=0.0):
     relu_normal_cone  sign-constrained pairs of the orthonormal bases
     reg_grelu_skip    grelu_skip in whitened coordinates with a group penalty
     """
-    mat = _as_mat(x)
+    mat = as_matrix(x)
     y = np.asarray(y, dtype=float)
     if y.shape != (mat.shape[0],):
         raise InvalidShapeError("target length must match the row count")
@@ -104,7 +86,7 @@ def build_program(x, patterns, y, program, beta=0.0):
         raise InvalidInputError("%s is an interpolation program; beta must be 0" % program)
     if beta < 0.0:
         raise InvalidInputError("beta must be nonnegative")
-    masks = _masks(patterns)
+    masks = mask_list(patterns)
 
     if program == "grelu_skip":
         blocks = [mat] + [m[:, None] * mat for m in masks]
@@ -173,7 +155,7 @@ def _plant_targets(plant, mat, masks, skip, paired, whitened, sv):
                                         "pass-through block")
             add(0, sv.s * (sv.v.T @ (r * w)) if whitened else r * w)
             continue
-        j = _find_mask(masks, pattern_of(mat, w).mask)
+        j = find_mask(masks, pattern_of(mat, w).mask)
         if j < 0:
             raise MissingPlantError("planted pattern missing from the pattern set")
         if plant.variant == "relu":
@@ -199,8 +181,8 @@ def assess_recovery(sol, plant, x, patterns, tol=1e-4, whitened=False):
     block norm. whitened=True reads the solution in the whitened coordinates
     of the penalized program.
     """
-    mat = _as_mat(x)
-    masks = _masks(patterns)
+    mat = as_matrix(x)
+    masks = mask_list(patterns)
     skip, paired = _split_layout(len(sol.weights), len(masks))
     sv = compact_svd(mat) if whitened else None
     targets = _plant_targets(plant, mat, masks, skip, paired, whitened, sv)
@@ -230,7 +212,7 @@ def test_distance(sol, plant, x_test, program="grelu_skip", x=None, patterns=Non
     penalized program additionally needs the training matrix to undo the
     whitening.
     """
-    xt = _as_mat(x_test)
+    xt = as_matrix(x_test)
     clean = PlantedModel(variant=plant.variant, neurons=plant.neurons,
                          noise_sigma=0.0)
     truth, _ = gen_observation(clean, xt, seed=0)
@@ -249,7 +231,7 @@ def test_distance(sol, plant, x_test, program="grelu_skip", x=None, patterns=Non
         if x is None:
             raise InvalidInputError("the whitened program needs x to map "
                                     "weights back")
-        sv = compact_svd(_as_mat(x))
+        sv = compact_svd(as_matrix(x))
         weights = [sv.v @ (w / sv.s) for w in weights]
     paired = program == "relu_skip_cone"
     pred = np.zeros(xt.shape[0])
@@ -272,8 +254,8 @@ def reconstruct_network(sol, x, patterns, arch, whitened=False):
     """
     if arch not in ARCHES:
         raise InvalidInputError("unknown architecture %r" % (arch,))
-    mat = _as_mat(x)
-    masks = _masks(patterns)
+    mat = as_matrix(x)
+    masks = mask_list(patterns)
     skip, paired = _split_layout(len(sol.weights), len(masks))
     if skip != (arch == "skip"):
         raise InvalidInputError("block layout does not fit the %s arch" % arch)

@@ -3,9 +3,9 @@
 Three entry points share one problem type: exact interpolation
 (`solve_group_min_norm`), penalized regression (`solve_group_lasso`) and
 interpolation under per-block sign cones (`solve_cone_constrained`).
-`build_certificate` produces the least-norm dual that certifies when the
-planted blocks are the unique solution, and `verify_kkt` replays the
-optimality system on any candidate solution.
+`build_certificate` reads off the least-norm dual of the matching isometry
+condition, which certifies when the planted blocks are the unique solution,
+and `verify_kkt` replays the optimality system on any candidate solution.
 """
 
 from dataclasses import dataclass
@@ -14,10 +14,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import nnls
 
-from .arrangements import pattern_of
 from .errors import InfeasibleError, InvalidInputError
-from .isometry import _mask_list, _normalized_target, _unit, _with_plants
-from .numerics import compact_svd, stacked_pinv_apply
+from .isometry import STRICT_MARGIN, nic_linear, nic_multi
+from .numerics import as_matrix, compact_svd
 
 # a block counts as active when its norm exceeds this fraction of the largest
 ZERO_REL = 1e-6
@@ -29,6 +28,14 @@ class SolverOptions:
     max_iter: int = 200_000
     rho_init: float = 1.0      # ADMM penalty start, rebalanced in flight
     accel: bool = True         # momentum on/off for the penalized solver
+
+    def __post_init__(self):
+        if not 0.0 < self.tol < np.inf:
+            raise InvalidInputError("solver tol must be positive and finite")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise InvalidInputError("solver max_iter must be a positive integer")
+        if not 0.0 < self.rho_init < np.inf:
+            raise InvalidInputError("solver rho_init must be positive and finite")
 
 
 @dataclass
@@ -59,7 +66,7 @@ class DualCertificate:
     lam: np.ndarray
     block_norms: list          # ||A_j^T lam|| per block
     planted_indices: list      # positions inside block_norms
-    is_strict: bool            # off-plant norms < scale, planted norms = scale
+    is_strict: bool            # off-plant norms < 1, planted norms = 1 (STRICT_MARGIN)
     masks: list                # arrangement masks the pattern norms refer to
     kind: str
 
@@ -394,70 +401,39 @@ def solve_cone_constrained(p, opts=None):
         active_blocks=_active(norms), converged=bool(max(pr_rel, dr_rel) < opts.tol))
 
 
-def build_certificate(x, patterns, plant, kind, beta=0.0):
-    """Least-norm dual with A_i^T lam = scale * w_hat_i on the planted blocks.
+def build_certificate(x, patterns, plant, kind):
+    """Least-norm dual lam with A_i^T lam = sign(r_i) w_hat_i on the planted blocks.
 
-    kind selects the block family: "linear" targets the skip block of the
+    kind selects the block family: "linear" targets the skip block X of the
     gated skip program (pattern blocks all count as off-plant), "relu" the
     gated blocks X^T D_j, "normalized" the left singular bases U_j. The
+    multiplier and pattern norms are those of the matching isometry report:
+    `nic_linear`, or `nic_multi` with each r_i replaced by sign(r_i). The
     certificate is strict when every off-plant block norm sits below
-    scale * (1 - 1e-8) while the planted norms equal scale to the same
-    margin; scale is beta when beta > 0, else 1. A rank-deficient planted
-    stack raises DegenerateStackError.
+    1 - STRICT_MARGIN while the planted norms equal one to the same margin.
+    A rank-deficient planted stack raises DegenerateStackError.
     """
-    mat = np.asarray(getattr(x, "mat", x), dtype=float)
     if kind not in ("linear", "relu", "normalized"):
         raise InvalidInputError("kind must be linear, relu, or normalized")
-    plant = [(np.asarray(w, dtype=float), float(r)) for w, r in plant]
+    plant = [(np.asarray(w, dtype=float), float(np.sign(r))) for w, r in plant]
     if not plant:
         raise InvalidInputError("need at least one planted neuron")
     if any(r == 0.0 for _, r in plant):
         raise InvalidInputError("output weights must be nonzero")
-    scale = float(beta) if beta > 0 else 1.0
-    margin = scale * 1e-8
-    masks, sampled = _mask_list(patterns)
-
     if kind == "linear":
         if len(plant) != 1:
             raise InvalidInputError("the skip certificate takes a single plant")
         w, r = plant[0]
-        lam = stacked_pinv_apply([mat.T], scale * np.sign(r) * _unit(w))
-        mm = np.array(masks, dtype=float)
-        pat = np.linalg.norm((mm * lam) @ mat, axis=1)
-        norms = [float(np.linalg.norm(mat.T @ lam))] + [float(v) for v in pat]
-        strict = (abs(norms[0] - scale) <= margin
-                  and all(v < scale - margin for v in norms[1:]))
-        return DualCertificate(lam=lam, block_norms=norms, planted_indices=[0],
-                               is_strict=bool(strict),
-                               masks=[m.copy() for m in masks], kind=kind)
-
-    pmasks = [pattern_of(mat, w).mask for w, _ in plant]
-    for i in range(len(pmasks)):
-        for j in range(i + 1, len(pmasks)):
-            if np.array_equal(pmasks[i], pmasks[j]):
-                raise InvalidInputError("planted masks must be pairwise distinct")
-    masks, pidx = _with_plants(masks, sampled, pmasks)
-    if kind == "relu":
-        rows = [mat.T * pm.astype(float)[None, :] for pm in pmasks]
-        target = scale * np.concatenate([np.sign(r) * _unit(w) for w, r in plant])
-        lam = stacked_pinv_apply(rows, target)
-        norms = np.linalg.norm((np.array(masks, dtype=float) * lam) @ mat, axis=1)
+        rep = nic_linear(x, r * w, patterns)
+        skip = float(np.linalg.norm(as_matrix(x).T @ rep.lam))
+        norms, planted = [skip] + [v for _, v in rep.per_pattern], [0]
     else:
-        rows, target = [], []
-        for (w, r), pm in zip(plant, pmasks):
-            ub, wt = _normalized_target(mat, pm, w)
-            rows.append(ub.T)
-            target.append(np.sign(r) * wt)
-        lam = stacked_pinv_apply(rows, scale * np.concatenate(target))
-        norms = [np.linalg.norm(compact_svd(m[:, None] * mat).u.T @ lam)
-                 for m in masks]
-    norms = [float(v) for v in norms]
-    planted = set(pidx)
-    strict = (all(v < scale - margin for i, v in enumerate(norms) if i not in planted)
-              and all(abs(norms[i] - scale) <= margin for i in pidx))
-    return DualCertificate(lam=lam, block_norms=norms, planted_indices=list(pidx),
-                           is_strict=bool(strict),
-                           masks=[m.copy() for m in masks], kind=kind)
+        rep = nic_multi(x, plant, patterns, normalized=kind == "normalized")
+        norms, planted = [v for _, v in rep.per_pattern], rep.planted_indices
+    strict = rep.holds and all(abs(norms[i] - 1.0) <= STRICT_MARGIN for i in planted)
+    return DualCertificate(lam=rep.lam, block_norms=norms,
+                           planted_indices=list(planted), is_strict=bool(strict),
+                           masks=[m.copy() for m, _ in rep.per_pattern], kind=kind)
 
 
 def verify_kkt(p, s, tol=1e-8):
@@ -512,16 +488,5 @@ def solution_to_csv(s):
     lines = ["block,norm,active"]
     act = set(s.active_blocks)
     for i, w in enumerate(s.weights):
-        lines.append("%d,%.17g,%d" % (i, np.linalg.norm(w), int(i in act)))
+        lines.append("%d,%s,%d" % (i, repr(float(np.linalg.norm(w))), int(i in act)))
     return "\n".join(lines) + "\n"
-
-
-def save_weights(s, path):
-    """Binary dump of the weight vectors (npz, one array per block)."""
-    np.savez(path, **{"w%d" % i: np.asarray(w, dtype=float)
-                      for i, w in enumerate(s.weights)})
-
-
-def load_weights(path):
-    with np.load(path) as data:
-        return [data["w%d" % i] for i in range(len(data.files))]

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+from scipy.linalg import orth
 
 from neuriso import experiments as ex
 from neuriso.arrangements import (MARGIN_EPS, allones_margin, enumerate_exact,
@@ -233,9 +234,46 @@ def test_criterion_06_nic_implies_recovery():
             % (len(runs), len(held), len(bad)))
 
 
+def _reference_strict(run):
+    """Certificate strictness recomputed outside the library: a least-squares
+    multiplier on the stacked planted rows, then one norm per block."""
+    x, neurons = run["inst"].x, run["inst"].model.neurons
+    masks = [p.mask.astype(float) for p in run["inst"].patterns.patterns]
+    rows, target, planted = [], [], []
+    for w, r in neurons:
+        s = float(np.sign(r))
+        if run["plant"] == "linear":
+            rows.append(x.T)
+            target.append(s * w / np.linalg.norm(w))
+            continue
+        pm = (x @ w >= 0.0).astype(float)
+        planted.append(next(j for j, m in enumerate(masks) if np.array_equal(m, pm)))
+        if run["plant"] == "relu":
+            rows.append((pm[:, None] * x).T)
+            target.append(s * w / np.linalg.norm(w))
+        else:
+            q = orth(pm[:, None] * x)
+            act = np.maximum(x @ w, 0.0)
+            rows.append(q.T)
+            target.append(s * (q.T @ act) / np.linalg.norm(act))
+    lam = np.linalg.lstsq(np.vstack(rows), np.concatenate(target), rcond=None)[0]
+    if run["plant"] == "normalized_pair":
+        norms = [np.linalg.norm(orth(m[:, None] * x).T @ lam) for m in masks]
+    else:
+        norms = [np.linalg.norm((m[:, None] * x).T @ lam) for m in masks]
+    if run["plant"] == "linear":
+        norms, planted = [np.linalg.norm(x.T @ lam)] + norms, [0]
+    off = [v for j, v in enumerate(norms) if j not in planted]
+    return (all(v < 1.0 - 1e-8 for v in off)
+            and all(abs(norms[j] - 1.0) <= 1e-8 for j in planted))
+
+
 def test_criterion_07_certificates_agree_and_kkt():
+    # the certificate reuses the NIC multiplier, so it is also checked against
+    # an independent reference computation
     runs = _nic_instances()
-    disagree = [r for r in runs if r["cert"].is_strict != r["rep"].holds]
+    disagree = [r for r in runs if r["cert"].is_strict != r["rep"].holds
+                or r["cert"].is_strict != _reference_strict(r)]
     held = [r for r in runs if r["rep"].holds]
     resid = [max(r["kkt"].stationarity, r["kkt"].dual_feasibility,
                  r["kkt"].primal, r["kkt"].cone) for r in held]

@@ -36,6 +36,15 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_bad_solver_config_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    for line in ("tol = 0", "max_iter = 0", "rho_init = -1"):
+        cfg_path.write_text("[grid]\nd_values = 3\nn_values = 6\ntrials = 1\n"
+                            "[solver]\n%s\n" % line)
+        assert dispatch(["phase", "--config", str(cfg_path)]) == 2, line
+        assert "usage error" in capsys.readouterr().err
+
+
 def test_help_exists_everywhere(capsys):
     assert dispatch(["--help"]) == 0
     for sub in SUBCOMMANDS:
@@ -182,6 +191,8 @@ def test_solve_command(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "block,norm,active"
     assert sum(int(parts.split(",")[2]) for parts in lines[1:]) == 1
+    # norms use the shortest repr, like every other CSV writer here
+    assert all(repr(float(f)) == f for f in (ln.split(",")[1] for ln in lines[1:]))
 
 
 def test_reconstruct_command(tmp_path, capsys):

@@ -5,6 +5,7 @@ from neuriso import arrangements as arr
 from neuriso import ensembles as ens
 from neuriso import isometry as iso
 from neuriso.errors import DegenerateStackError, InvalidInputError, MissingPlantError
+from neuriso.numerics import compact_svd
 
 
 def patset(masks, sampled=True, witnesses=None):
@@ -13,6 +14,35 @@ def patset(masks, sampled=True, witnesses=None):
             for i, m in enumerate(masks)]
     ones = any(np.all(np.asarray(m) == 1) for m in masks)
     return arr.PatternSet(patterns=pats, contains_all_ones=ones, sampled=sampled)
+
+
+def direct_norms(x, masks, lam, normalized):
+    # one pattern at a time, outside the library kernel: ||X^T D_j lam||, or
+    # the length of lam's projection onto the columns of D_j X (the
+    # basis-free form of ||U_j^T lam||)
+    out = []
+    for m in masks:
+        block = np.asarray(m, dtype=float)[:, None] * x
+        if normalized:
+            coef = np.linalg.lstsq(block, lam, rcond=None)[0]
+            out.append(np.linalg.norm(block @ coef))
+        else:
+            out.append(np.linalg.norm(block.T @ lam))
+    return out
+
+
+def assert_lam_reproduces(x, rep, normalized):
+    masks = [m for m, _ in rep.per_pattern]
+    for (_, lhs), direct in zip(rep.per_pattern, direct_norms(x, masks, rep.lam, normalized)):
+        assert abs(lhs - direct) < 1e-9
+
+
+def normalized_target(x, w):
+    # (U^T (Xw)_+) / ||(Xw)_+|| with U the left basis of D X, D = pattern of w
+    mask = arr.pattern_of(x, w).mask
+    u = compact_svd(mask[:, None] * x).u
+    act = np.maximum(x @ w, 0.0)
+    return u, u.T @ act / np.linalg.norm(act)
 
 
 def test_linear_zero_and_allones_patterns():
@@ -35,6 +65,9 @@ def test_linear_haar_matches_direct_formula():
     for mask, lhs in rep.per_pattern:
         direct = np.linalg.norm(x.mat.T @ (mask * (x.mat @ what)))
         assert abs(lhs - direct) < 1e-9
+    # the multiplier meets X^T lam = w_hat and reproduces every lhs
+    assert np.linalg.norm(x.mat.T @ rep.lam - what) < 1e-9
+    assert_lam_reproduces(x.mat, rep, normalized=False)
 
 
 def test_linear_rank_error():
@@ -68,6 +101,9 @@ def test_relu_single_self_and_disjoint():
     assert np.array_equal(rep.per_pattern[pi][0], planted)
     # self-pattern lhs = 1 never enters the certified maximum
     assert rep.max_lhs < 1.0 and rep.holds
+    what = w / np.linalg.norm(w)
+    assert np.linalg.norm((planted[:, None] * x.mat).T @ rep.lam - what) < 1e-9
+    assert_lam_reproduces(x.mat, rep, normalized=False)
 
 
 def test_relu_single_missing_plant_behaviour():
@@ -127,6 +163,9 @@ def test_normalized_single_self_disjoint_and_rate():
     lhs = {tuple(m): v for m, v in rep.per_pattern}
     assert abs(lhs[tuple(planted)] - 1.0) < 1e-9
     assert lhs[tuple((1 - planted).astype(np.uint8))] < 1e-12
+    ui, wt = normalized_target(x.mat, w)
+    assert np.linalg.norm(ui.T @ rep.lam - wt) < 1e-9
+    assert_lam_reproduces(x.mat, rep, normalized=True)
 
     hits = 0
     for seed in range(40):
@@ -150,6 +189,9 @@ def test_multi_k1_matches_single():
     nmulti = iso.nic_multi(x, [(w, 1.0)], ps, normalized=True)
     for (_, a), (_, b) in zip(nsingle.per_pattern, nmulti.per_pattern):
         assert abs(a - b) < 1e-10
+    # both multipliers are least-norm solutions of the same system
+    assert np.linalg.norm(single.lam - multi.lam) < 1e-9
+    assert np.linalg.norm(nsingle.lam - nmulti.lam) < 1e-9
 
 
 def test_multi_disjoint_pair_reduces_to_correlation_with_y():
@@ -159,7 +201,6 @@ def test_multi_disjoint_pair_reduces_to_correlation_with_y():
     ps = arr.sample_patterns(x.mat, 150, seed=14)
     rep = iso.nic_multi(x, plant, ps, normalized=True)
     y, _ = ens.gen_observation(ens.normalized_plant(plant), x, seed=0)
-    from neuriso.numerics import compact_svd
     planted_masks = {tuple(arr.pattern_of(x.mat, w).mask),
                      tuple(arr.pattern_of(x.mat, -w).mask)}
     for mask, lhs in rep.per_pattern:
@@ -167,6 +208,18 @@ def test_multi_disjoint_pair_reduces_to_correlation_with_y():
             continue
         uj = compact_svd(mask[:, None] * x.mat).u
         assert abs(lhs - np.linalg.norm(uj.T @ y)) < 1e-9
+    # U_s_i^T lam = r_i w_tilde_i on both plants, and lam reproduces lhs
+    for wi, ri in plant:
+        ui, wt = normalized_target(x.mat, wi)
+        assert np.linalg.norm(ui.T @ rep.lam - ri * wt) < 1e-9
+    assert_lam_reproduces(x.mat, rep, normalized=True)
+    # the plain pair: X^T D_s_i lam = r_i w_hat_i
+    plain = iso.nic_multi(x, [(w, 1.0), (-w, -1.0)], ps, normalized=False)
+    for wi, ri in ((w, 1.0), (-w, -1.0)):
+        di = arr.pattern_of(x.mat, wi).mask[:, None]
+        err = (di * x.mat).T @ plain.lam - ri * wi / np.linalg.norm(wi)
+        assert np.linalg.norm(err) < 1e-9
+    assert_lam_reproduces(x.mat, plain, normalized=False)
 
 
 def test_multi_disjoint_pair_rate():

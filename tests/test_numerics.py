@@ -1,81 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from neuriso import numerics
-from neuriso.errors import AccuracyError, DegenerateStackError, InvalidInputError
-
-
-# Frozen reference values, derived independently:
-#   chi-square (1 dof) survival at r is P(|Z| > sqrt(r)) for standard normal Z.
-#   P(|Z| > 1) and P(|Z| > 2) below are the classic two-sided normal tails.
-CHI2_SURV_1 = 0.31731050786291415
-CHI2_SURV_4 = 0.04550026389635842
-CHI2_MEDIAN = 0.45493642311957305
-
-
-def test_chi2_survival_frozen_values():
-    assert numerics.chi2_survival(1.0) == pytest.approx(CHI2_SURV_1, abs=1e-14)
-    assert numerics.chi2_survival(4.0) == pytest.approx(CHI2_SURV_4, abs=1e-14)
-    assert numerics.chi2_survival(0.0) == 1.0
-
-
-def test_chi2_survival_monotone_and_tails():
-    rs = np.linspace(0.0, 40.0, 400)
-    vals = [numerics.chi2_survival(r) for r in rs]
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
-    assert numerics.chi2_survival(40.0) < 1e-9
-
-
-def test_chi2_quantile_median():
-    assert numerics.chi2_quantile(0.5) == pytest.approx(CHI2_MEDIAN, abs=1e-10)
-    assert numerics.chi2_quantile(0.0) == 0.0
-
-
-def test_chi2_quantile_rejects_bad_levels():
-    with pytest.raises(InvalidInputError):
-        numerics.chi2_quantile(1.0)
-    with pytest.raises(InvalidInputError):
-        numerics.chi2_quantile(-0.1)
-    with pytest.raises(InvalidInputError):
-        numerics.chi2_survival(-1.0)
-
-
-@given(st.floats(min_value=1e-6, max_value=40.0))
-@settings(max_examples=200, deadline=None)
-def test_chi2_quantile_survival_roundtrip(r):
-    # For large r the subtraction p = 1 - survival(r) itself destroys
-    # information (ulp(1) maps to ~ulp/density in r), so the achievable
-    # tolerance is the float64 information bound, never better than 1e-9.
-    p = 1.0 - numerics.chi2_survival(r)
-    density = math.exp(-0.5 * r) / math.sqrt(2.0 * math.pi * r)
-    tol = max(1e-9 * max(1.0, r), 4.0 * 1.2e-16 / density)
-    assert abs(numerics.chi2_quantile(p) - r) < tol
-
-
-def test_integrate_tail_exponential():
-    assert numerics.integrate_tail(lambda x: math.exp(-x), 0.0) == pytest.approx(1.0, abs=1e-9)
-    assert numerics.integrate_tail(lambda x: math.exp(-x), 2.0) == pytest.approx(math.exp(-2.0), abs=1e-9)
-
-
-def test_integrate_tail_gaussian_moment():
-    # int_a^inf x exp(-x^2/2) dx = exp(-a^2/2)
-    f = lambda x: x * math.exp(-0.5 * x * x)
-    assert numerics.integrate_tail(f, 0.0) == pytest.approx(1.0, abs=1e-9)
-    assert numerics.integrate_tail(f, 1.5) == pytest.approx(math.exp(-1.125), abs=1e-9)
-
-
-def test_integrate_tail_chi2_survival_is_mean():
-    # E[chi2_1] = 1, via the layer-cake identity.
-    val = numerics.integrate_tail(numerics.chi2_survival, 0.0)
-    assert val == pytest.approx(1.0, abs=1e-9)
-
-
-def test_integrate_tail_divergent_raises():
-    with pytest.raises(AccuracyError):
-        numerics.integrate_tail(lambda x: 1.0 / (1.0 + x), 0.0)
+from neuriso.errors import DegenerateStackError, InvalidInputError
 
 
 def test_compact_svd_zero_matrix():
@@ -132,7 +60,15 @@ def test_stacked_pinv_apply_degenerate_stack():
         numerics.stacked_pinv_apply([b, b], np.ones(4))
 
 
-def test_normal_cdf_values():
-    assert numerics.normal_cdf(0.0) == 0.5
-    assert numerics.normal_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-15)
-    assert numerics.normal_cdf(-38.0) >= 0.0
+def test_unit_and_as_matrix():
+    np.testing.assert_allclose(numerics.unit([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
+    with pytest.raises(InvalidInputError):
+        numerics.unit(np.zeros(3))
+    x = np.arange(6.0).reshape(3, 2)
+    assert numerics.as_matrix(x) is x
+
+    class Holder:
+        mat = [[1, 2], [3, 4]]
+
+    got = numerics.as_matrix(Holder())
+    assert got.dtype == float and got.shape == (2, 2)

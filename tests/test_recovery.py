@@ -16,7 +16,7 @@ def sampled_with_plants(x, count, seed, plants):
     pats = list(ps.patterns)
     for w in plants:
         pat = arr.pattern_of(mat, w)
-        if ps.find(pat.mask) < 0:
+        if arr.find_mask(arr.mask_list(ps), pat.mask) < 0:
             pats.append(pat)
     pats.sort(key=lambda p: tuple(p.mask))
     return arr.PatternSet(patterns=pats, contains_all_ones=ps.contains_all_ones,
@@ -93,7 +93,7 @@ def test_assess_spurious_block():
     x = ens.gen_matrix("gaussian", 24, 4, seed=5)
     w_star = ens.plant_direction(x, seed=6)
     ps = sampled_with_plants(x, 40, 7, [w_star])
-    i_star = ps.find(arr.pattern_of(x.mat, w_star).mask)
+    i_star = arr.find_mask(arr.mask_list(ps), arr.pattern_of(x.mat, w_star).mask)
     prob = rec.build_program(x, ps, np.maximum(x.mat @ w_star, 0), "grelu_skip")
     weights = [np.zeros(4) for _ in prob.blocks]
     weights[1 + i_star] = w_star.copy()
@@ -108,7 +108,7 @@ def test_assess_missing_plant_pattern():
     x = ens.gen_matrix("gaussian", 30, 4, seed=13)
     w_star = ens.plant_direction(x, seed=14)
     ps = arr.sample_patterns(x.mat, 60, seed=15)
-    assert ps.find(arr.pattern_of(x.mat, w_star).mask) < 0
+    assert arr.find_mask(arr.mask_list(ps), arr.pattern_of(x.mat, w_star).mask) < 0
     prob = rec.build_program(x, ps, np.maximum(x.mat @ w_star, 0), "grelu_skip")
     s = manual_solution(prob.blocks, [np.zeros(4) for _ in prob.blocks])
     with pytest.raises(MissingPlantError):
@@ -256,7 +256,7 @@ def test_reconstruct_negative_pair_neuron():
     x = ens.gen_matrix("gaussian", 24, 4, seed=19)
     w_star = ens.plant_direction(x, seed=20)
     ps = sampled_with_plants(x, 40, 21, [w_star])
-    i_star = ps.find(arr.pattern_of(x.mat, w_star).mask)
+    i_star = arr.find_mask(arr.mask_list(ps), arr.pattern_of(x.mat, w_star).mask)
     y = -np.maximum(x.mat @ w_star, 0.0)
     prob = rec.build_program(x, ps, y, "relu_skip_cone")
     weights = [np.zeros(4) for _ in prob.blocks]
@@ -272,7 +272,7 @@ def test_reconstruct_rejects_mask_violation():
     x = ens.gen_matrix("gaussian", 20, 4, seed=22)
     w_star = ens.plant_direction(x, seed=23)
     ps = sampled_with_plants(x, 30, 24, [w_star])
-    i_star = ps.find(arr.pattern_of(x.mat, w_star).mask)
+    i_star = arr.find_mask(arr.mask_list(ps), arr.pattern_of(x.mat, w_star).mask)
     other = (i_star + 1) % len(ps.patterns)
     prob = rec.build_program(x, ps, np.maximum(x.mat @ w_star, 0), "grelu_skip")
     weights = [np.zeros(4) for _ in prob.blocks]
