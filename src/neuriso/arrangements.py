@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyError, InvalidInputError, SchemaError, SizeLimitError
+from .errors import (AccuracyError, InvalidInputError, MissingPlantError,
+                     SchemaError, SizeLimitError)
 
 MARGIN_EPS = 1e-9  # strict-realizability threshold on the unit-ball margin
 
@@ -51,6 +52,24 @@ def pattern_of(x, h):
         raise InvalidInputError("the zero direction induces no arrangement pattern")
     mask = (np.asarray(x, dtype=float) @ h >= 0.0).astype(np.uint8)
     return ArrangementPattern(mask=mask, witness=h)
+
+
+def with_plants(x, pattern_set, directions):
+    """The set grown by pattern_of(x, w) for each direction w whose mask it
+    lacks, in lexicographic mask order. Only a sampled set may grow: a plant
+    missing from an exact enumeration raises MissingPlantError."""
+    pats = list(pattern_set.patterns)
+    masks = mask_list(pats)
+    for w in directions:
+        cand = pattern_of(x, w)
+        if find_mask(masks, cand.mask) < 0:
+            if not pattern_set.sampled:
+                raise MissingPlantError("planted pattern missing from exact pattern set")
+            pats.append(cand)
+            masks.append(cand.mask)
+    pats.sort(key=lambda p: p.mask.tolist())
+    return PatternSet(patterns=pats, contains_all_ones=pattern_set.contains_all_ones,
+                      sampled=pattern_set.sampled)
 
 
 def _affine_min(pts):

@@ -22,7 +22,7 @@ from .arrangements import enumerate_exact, to_text
 from .ensembles import MATRIX_KINDS, gen_gmm, gmm_success_bound
 from .errors import (InconsistentSolutionError, InvalidInputError,
                      NeurisoError)
-from .experiments import (GridConfig, METRICS, PLANTS, build_cell,
+from .experiments import (GridConfig, PLANTS, build_cell,
                           emit_plots, load_config, run_beta_sweep, run_grid,
                           solve_program, write_text)
 from .isometry import (nic_linear, nic_multi, nic_relu_single, nnic_single,
@@ -100,8 +100,6 @@ def _grid_config(args, sweep=False):
         updates["betas"] = _float_list(args.betas)
     if args.pattern_count is not None:
         updates["pattern_count"] = args.pattern_count
-    if getattr(args, "metric", None):
-        updates["metric"] = args.metric
     if args.seed is not None:
         updates["master_seed"] = args.seed
     if args.tol is not None:
@@ -169,14 +167,12 @@ def _run_one_shot(args):
     beta = cfg.beta if cfg.program == "reg_grelu_skip" else 0.0
     prob = build_program(inst.x, inst.patterns, inst.y, cfg.program, beta=beta)
     sol = solve_program(cfg, prob, beta)
-    verdict = assess_recovery(sol, inst.model, inst.x, inst.patterns,
-                              tol=cfg.success_tol,
-                              whitened=cfg.program == "reg_grelu_skip")
-    return cfg, inst, sol, verdict
+    verdict = assess_recovery(sol, inst.model, prob, tol=cfg.success_tol)
+    return cfg, inst, prob, sol, verdict
 
 
 def cmd_solve(args):
-    cfg, inst, sol, verdict = _run_one_shot(args)
+    cfg, inst, _, sol, verdict = _run_one_shot(args)
     _emit([("program", cfg.program), ("d", args.d), ("n", args.n),
            ("sigma", float(args.sigma)), ("seed", inst.seed),
            ("success", verdict.success and sol.converged),
@@ -193,12 +189,9 @@ def cmd_solve(args):
 def cmd_reconstruct(args):
     if not args.out:
         raise UsageError("reconstruct needs --out for the network file")
-    cfg, inst, sol, verdict = _run_one_shot(args)
-    arch = "normalized" if cfg.program.endswith("_normal") or \
-        cfg.program.endswith("_normal_cone") else "skip"
+    _, inst, prob, sol, verdict = _run_one_shot(args)
     try:
-        net = reconstruct_network(sol, inst.x, inst.patterns, arch,
-                                  whitened=cfg.program == "reg_grelu_skip")
+        net = reconstruct_network(sol, prob)
     except InconsistentSolutionError as exc:
         # gated optima need not be cone-feasible; only those convert to a
         # plain ReLU network
@@ -357,7 +350,6 @@ def _add_grid_flags(p, sweep=False):
     if sweep:
         p.add_argument("--betas", default="", help="comma-separated penalties")
     else:
-        p.add_argument("--metric", choices=METRICS, default=None)
         p.add_argument("--plots", action="store_true",
                        help="emit one plot script per metric next to the CSV")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangements import PatternSet, pattern_of, sample_patterns
+from .arrangements import PatternSet, sample_patterns, with_plants
 from .ensembles import (MATRIX_KINDS, gen_matrix, gen_observation,
                         linear_plant, normalized_plant, plant_direction,
                         relu_plant)
@@ -47,7 +47,6 @@ class GridConfig:
     plant: str = "linear"
     sigmas: tuple = (0.0,)
     program: str = "grelu_skip"
-    metric: str = "success"
     master_seed: int = 0
     pattern_count: int = 0  # 0 means max(n, 50)
     success_tol: float = 1e-4
@@ -81,8 +80,6 @@ class GridConfig:
             raise InvalidInputError("unknown plant %r" % (self.plant,))
         if self.program not in PROGRAMS:
             raise InvalidInputError("unknown program %r" % (self.program,))
-        if self.metric not in METRICS:
-            raise InvalidInputError("unknown metric %r" % (self.metric,))
         if self.sigmas[0] < 0.0 or (self.betas and self.betas[0] < 0.0) or self.beta < 0.0:
             raise InvalidInputError("noise levels and penalties must be nonnegative")
         if self.pattern_count < 0:
@@ -164,28 +161,6 @@ def _build_plant(kind, x, seed, sigma):
     return linear_plant(w, sigma) if kind == "linear" else relu_plant(w, sigma)
 
 
-def _planted_patterns(x, model, count, seed):
-    # grow the sampled set with the planted cells; random probes almost
-    # never land in them, and downstream programs need them present
-    ps = sample_patterns(x, count, seed)
-    if model.variant == "linear":
-        return ps
-    pats = list(ps.patterns)
-    have = {p.mask.tobytes() for p in pats}
-    grew = False
-    for w, _ in model.neurons:
-        cand = pattern_of(x, w)
-        if cand.mask.tobytes() not in have:
-            pats.append(cand)
-            have.add(cand.mask.tobytes())
-            grew = True
-    if not grew:
-        return ps
-    pats.sort(key=lambda p: tuple(p.mask))
-    return PatternSet(patterns=pats, contains_all_ones=ps.contains_all_ones,
-                      sampled=True)
-
-
 def build_cell(cfg, d, n, sigma, trial):
     """Deterministically rebuild one cell's data, plant, targets, and patterns."""
     ss = _seed_sequence(cfg, d, n, sigma, trial)
@@ -194,7 +169,11 @@ def build_cell(cfg, d, n, sigma, trial):
     x = gen_matrix(cfg.ensemble, n, d, seed=kid_data).mat
     model = _build_plant(cfg.plant, x, kid_plant, sigma)
     y, noise = gen_observation(model, x, seed=kid_noise)
-    patterns = _planted_patterns(x, model, cfg.pattern_count or max(n, 50), kid_pat)
+    patterns = sample_patterns(x, cfg.pattern_count or max(n, 50), kid_pat)
+    if model.variant != "linear":
+        # grow the sampled set with the planted cells; random probes almost
+        # never land in them, and downstream programs need them present
+        patterns = with_plants(x, patterns, [w for w, _ in model.neurons])
     return CellInstance(x=x, model=model, y=y, noise=noise, patterns=patterns,
                         seed=seed, test_seed=kid_test)
 
@@ -238,9 +217,7 @@ def _run_cell(cfg, d, n, sigma, trial):
         prob = build_program(inst.x, inst.patterns, inst.y, cfg.program, beta=beta)
         sol = solve_program(cfg, prob, beta)
         row["solver_iterations"] = sol.iterations
-        verdict = assess_recovery(sol, inst.model, inst.x, inst.patterns,
-                                  tol=cfg.success_tol,
-                                  whitened=cfg.program == "reg_grelu_skip")
+        verdict = assess_recovery(sol, inst.model, prob, tol=cfg.success_tol)
         row["abs_distance"] = verdict.abs_distance
         if sol.converged:
             row["success"] = int(verdict.success)
@@ -248,9 +225,7 @@ def _run_cell(cfg, d, n, sigma, trial):
             row["note"] = "solver hit the iteration cap"
         try:
             x_test = gen_matrix(cfg.ensemble, n, d, seed=inst.test_seed).mat
-            row["test_distance"] = test_distance(sol, inst.model, x_test,
-                                                 cfg.program, x=inst.x,
-                                                 patterns=inst.patterns)
+            row["test_distance"] = test_distance(sol, inst.model, prob, x_test)
         except NeurisoError as exc:
             row["note"] = _note_join(row["note"], "test distance failed: %s" % exc)
     except NeurisoError as exc:
@@ -291,8 +266,7 @@ def _run_sweep_point(cfg, d, n, sigma, beta, trial):
         inst = build_cell(cfg, d, n, sigma, trial)
         prob = build_program(inst.x, inst.patterns, inst.y, cfg.program, beta=beta)
         sol = solve_program(cfg, prob, beta)
-        verdict = assess_recovery(sol, inst.model, inst.x, inst.patterns,
-                                  tol=cfg.success_tol, whitened=True)
+        verdict = assess_recovery(sol, inst.model, prob, tol=cfg.success_tol)
         point["abs_distance"] = verdict.abs_distance
         point["active_blocks"] = len(sol.active_blocks)
         if sol.converged:
@@ -527,8 +501,7 @@ _CONFIG_SCALARS = (("trials", int), ("master_seed", int),
                    ("pattern_count", int), ("threads", int),
                    ("success_tol", float), ("beta", float),
                    ("wall_budget_s", float), ("ensemble", str),
-                   ("plant", str), ("program", str), ("metric", str),
-                   ("out", str))
+                   ("plant", str), ("program", str), ("out", str))
 
 
 def load_config(path):
@@ -567,8 +540,6 @@ def load_config(path):
                               ("rho_init", float)):
                 if key in sol:
                     opts[key] = conv(sol[key])
-            if "accel" in sol:
-                opts["accel"] = sol.getboolean("accel")
             kwargs["solver"] = SolverOptions(**opts)
     except ValueError as exc:
         raise InvalidInputError("bad config value: %s" % exc)

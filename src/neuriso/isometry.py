@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangements import find_mask, mask_list, pattern_of
-from .errors import DegenerateStackError, InvalidInputError, MissingPlantError
+from .arrangements import find_mask, mask_list, pattern_of, with_plants
+from .errors import DegenerateStackError, InvalidInputError
 from .numerics import as_matrix, compact_svd, stacked_pinv_apply, unit
 
 STRICT_MARGIN = 1e-8  # "holds" means max off-plant lhs < 1 - STRICT_MARGIN
@@ -30,16 +30,10 @@ class NicReport:
     lam: np.ndarray = None  # the multiplier behind lhs; None for SNIC_ORTH
 
 
-def _with_plants(patterns, plant_masks):
-    # ensure every planted mask is present; only sampled sets may be grown
-    masks = mask_list(patterns)
-    for pm in plant_masks:
-        if find_mask(masks, pm) < 0:
-            if not getattr(patterns, "sampled", True):
-                raise MissingPlantError("planted pattern missing from exact pattern set")
-            masks.append(pm)
-    masks.sort(key=tuple)
-    return masks, [find_mask(masks, pm) for pm in plant_masks]
+def _with_plants(mat, patterns, directions):
+    # masks of the grown set and the positions of the planted ones in it
+    masks = mask_list(with_plants(mat, patterns, directions))
+    return masks, [find_mask(masks, pattern_of(mat, w).mask) for w in directions]
 
 
 def _pattern_norms(mat, masks, lam, normalized):
@@ -78,7 +72,7 @@ def nic_relu_single(x, w_star, patterns):
     """lhs_j = ||X^T D_j D_i* X (X^T D_i* X)^{-1} w_hat||, i* the plant."""
     mat = as_matrix(x)
     what = unit(w_star)
-    masks, pidx = _with_plants(patterns, [pattern_of(mat, what).mask])
+    masks, pidx = _with_plants(mat, patterns, [what])
     mi = masks[pidx[0]].astype(float)
     gram = mat.T @ (mi[:, None] * mat)
     sig = np.linalg.svd(gram, compute_uv=False)
@@ -88,23 +82,24 @@ def nic_relu_single(x, w_star, patterns):
     return _assemble("NIC_1", mat, masks, lam, pidx)
 
 
-def _normalized_target(mat, mask, w):
-    # coordinates of (Xw)_+ in the left singular basis of D X, normalized
-    sv = compact_svd(mask[:, None] * mat)
-    coef = sv.s * (sv.v.T @ w) if sv.rank else np.zeros(0)
+def normalized_target(sv, w):
+    """Unit coordinates of (Xw)_+ in the left basis U of D X, from the
+    compact SVD sv of D X with D the pattern of w."""
+    coef = sv.s * (sv.v.T @ w)
     nrm = np.linalg.norm(coef)
-    if sv.rank == 0 or nrm == 0.0:
+    if nrm == 0.0:
         raise DegenerateStackError("planted pattern annihilates the data")
-    return sv.u, coef / nrm
+    return coef / nrm
 
 
 def nnic_single(x, w_star, patterns):
     """lhs_j = ||U_j^T U_i* w_tilde|| with U from the compact SVD of D X."""
     mat = as_matrix(x)
     w = np.asarray(w_star, dtype=float)
-    masks, pidx = _with_plants(patterns, [pattern_of(mat, w).mask])
-    ui, wt = _normalized_target(mat, masks[pidx[0]], w)
-    return _assemble("NNIC_1", mat, masks, ui @ wt, pidx, normalized=True)
+    masks, pidx = _with_plants(mat, patterns, [w])
+    sv = compact_svd(masks[pidx[0]][:, None] * mat)
+    return _assemble("NNIC_1", mat, masks, sv.u @ normalized_target(sv, w), pidx,
+                     normalized=True)
 
 
 def nic_multi(x, plant, patterns, normalized):
@@ -127,13 +122,13 @@ def nic_multi(x, plant, patterns, normalized):
     for a in range(len(pmasks)):
         if find_mask(pmasks[a + 1:], pmasks[a]) >= 0:
             raise InvalidInputError("planted masks must be pairwise distinct")
-    masks, pidx = _with_plants(patterns, pmasks)
+    masks, pidx = _with_plants(mat, patterns, [w for w, _ in plant])
     if normalized:
         blocks, target = [], []
         for (w, r), pm in zip(plant, pmasks):
-            u, wt = _normalized_target(mat, pm, w)
-            blocks.append(u.T)
-            target.append(r * wt)
+            sv = compact_svd(pm[:, None] * mat)
+            blocks.append(sv.u.T)
+            target.append(r * normalized_target(sv, w))
         lam = stacked_pinv_apply(blocks, np.concatenate(target))
         return _assemble("NNIC_K", mat, masks, lam, pidx, normalized=True)
     blocks = [mat.T * pm.astype(float)[None, :] for pm in pmasks]

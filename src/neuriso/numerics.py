@@ -36,12 +36,15 @@ def unit(w):
 def compact_svd(m, rank_tol=1e-10):
     """Compact SVD of `m`, dropping singular values <= rank_tol * s_max.
 
-    A zero matrix yields rank 0 with empty factors. Deterministic for a
-    fixed input (LAPACK bidiagonalization underneath).
+    A zero matrix yields rank 0 with empty factors; a non-finite entry raises
+    InvalidInputError before LAPACK sees it. Deterministic for a fixed input
+    (LAPACK bidiagonalization underneath).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise InvalidInputError("compact_svd expects a 2-d array")
+    if not np.isfinite(m).all():
+        raise InvalidInputError("compact_svd needs finite entries")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         rank = 0

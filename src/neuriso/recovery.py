@@ -16,7 +16,8 @@ from .ensembles import PlantedModel, gen_observation
 from .errors import (InconsistentSolutionError, InvalidInputError,
                      InvalidShapeError, MissingPlantError, NeurisoError,
                      SchemaError)
-from .numerics import as_matrix, compact_svd
+from .isometry import normalized_target
+from .numerics import CompactSvd, as_matrix, compact_svd
 from .solvers import GroupProblem
 
 ARCHES = ("plain", "skip", "normalized")
@@ -67,6 +68,38 @@ class RecoveryVerdict:
     extras: int  # spurious active blocks
 
 
+@dataclass
+class ProgramLayout:
+    """Which block of a build_program problem is which.
+
+    Block 0 is the pass-through when `skip`. Pattern j owns the next block,
+    or the (+, -) pair at 2j, 2j + 1 past the skip block when `paired`.
+    `whitening` is the compact SVD of X whose left basis stands in for X
+    (reg_grelu_skip); `bases` holds the compact SVD of D_j X per pattern,
+    whose left bases are the normalized programs' blocks.
+    """
+
+    x: np.ndarray
+    masks: list
+    skip: bool
+    paired: bool
+    whitening: CompactSvd = None
+    bases: list = None  # CompactSvd per pattern
+
+    def block(self, j, negative=False):
+        return int(self.skip) + (2 * j + int(negative) if self.paired else j)
+
+    def pattern(self, b):
+        """(pattern index, negative copy) of a pattern block."""
+        k = b - int(self.skip)
+        return (k // 2, k % 2 == 1) if self.paired else (k, False)
+
+    def unwhiten(self, w):
+        """Gated block weights in the coordinates of X."""
+        sv = self.whitening
+        return np.asarray(w, dtype=float) if sv is None else sv.v @ (w / sv.s)
+
+
 def build_program(x, patterns, y, program, beta=0.0):
     """Assemble the group problem for one program family.
 
@@ -75,6 +108,8 @@ def build_program(x, patterns, y, program, beta=0.0):
     grelu_normal      one orthonormal column basis per pattern, beta = 0
     relu_normal_cone  sign-constrained pairs of the orthonormal bases
     reg_grelu_skip    grelu_skip in whitened coordinates with a group penalty
+
+    The problem's `layout` records the block order for the verdicts.
     """
     mat = as_matrix(x)
     y = np.asarray(y, dtype=float)
@@ -87,10 +122,15 @@ def build_program(x, patterns, y, program, beta=0.0):
     if beta < 0.0:
         raise InvalidInputError("beta must be nonnegative")
     masks = mask_list(patterns)
+    layout = ProgramLayout(x=mat, masks=masks, skip="_skip" in program,
+                           paired=program.endswith("_cone"))
+
+    def problem(blocks, cones=None, beta=0.0):
+        return GroupProblem(blocks=blocks, target=y, beta=beta, cones=cones,
+                            layout=layout)
 
     if program == "grelu_skip":
-        blocks = [mat] + [m[:, None] * mat for m in masks]
-        return GroupProblem(blocks=blocks, target=y, beta=0.0, cones=None)
+        return problem([mat] + [m[:, None] * mat for m in masks])
 
     if program == "relu_skip_cone":
         blocks, cones = [mat], [None]
@@ -99,93 +139,73 @@ def build_program(x, patterns, y, program, beta=0.0):
             cone = (2.0 * m - 1.0)[:, None] * mat
             blocks += [gated, -gated]
             cones += [cone, cone]
-        return GroupProblem(blocks=blocks, target=y, beta=0.0, cones=cones)
+        return problem(blocks, cones)
 
-    if program == "grelu_normal":
-        blocks = [compact_svd(m[:, None] * mat).u for m in masks]
-        return GroupProblem(blocks=blocks, target=y, beta=0.0, cones=None)
-
-    if program == "relu_normal_cone":
+    if program in ("grelu_normal", "relu_normal_cone"):
+        layout.bases = [compact_svd(m[:, None] * mat) for m in masks]
+        if program == "grelu_normal":
+            return problem([sv.u for sv in layout.bases])
         blocks, cones = [], []
-        for m in masks:
-            sv = compact_svd(m[:, None] * mat)
+        for m, sv in zip(masks, layout.bases):
             cone = None
             if sv.rank:
                 cone = ((2.0 * m - 1.0)[:, None] * mat) @ (sv.v / sv.s)
             blocks += [sv.u, -sv.u]
             cones += [cone, cone]
-        return GroupProblem(blocks=blocks, target=y, beta=0.0, cones=cones)
+        return problem(blocks, cones)
 
-    sv = compact_svd(mat)  # reg_grelu_skip: whiten through the column space
-    blocks = [sv.u] + [m[:, None] * sv.u for m in masks]
-    return GroupProblem(blocks=blocks, target=y, beta=float(beta), cones=None)
-
-
-def _split_layout(n_blocks, p):
-    # block count determines the layout; at p = 1 the tie goes to skip+single
-    if n_blocks == p + 1:
-        return True, False
-    if n_blocks == 2 * p + 1:
-        return True, True
-    if n_blocks == p:
-        return False, False
-    if n_blocks == 2 * p:
-        return False, True
-    raise InvalidInputError("cannot match %d blocks to %d patterns" % (n_blocks, p))
+    # reg_grelu_skip: whiten through the column space
+    sv = layout.whitening = compact_svd(mat)
+    return problem([sv.u] + [m[:, None] * sv.u for m in masks], beta=float(beta))
 
 
-def _block_index(skip, paired, j, negative):
-    return int(skip) + (2 * j + int(negative) if paired else j)
+def _layout(sol, prob):
+    if prob.layout is None:
+        raise InvalidInputError("the problem carries no block layout; "
+                                "assemble it with build_program")
+    if len(sol.weights) != len(prob.blocks):
+        raise InvalidInputError("the solution has %d blocks, the program %d"
+                                % (len(sol.weights), len(prob.blocks)))
+    return prob.layout
 
 
-def _plant_targets(plant, mat, masks, skip, paired, whitened, sv):
+def _plant_targets(plant, layout):
     """Planted weights mapped into the solution's block coordinates."""
-    if whitened and plant.variant == "normalized_relu_sum":
-        raise InvalidInputError("whitened coordinates apply to gated programs only")
     targets = {}
-
-    def add(b, vec):
-        targets[b] = targets.get(b, 0.0) + vec
-
     for w, r in plant.neurons:
         w = np.asarray(w, dtype=float)
         if plant.variant == "linear":
-            if not skip:
+            if not layout.skip:
                 raise InvalidInputError("a linear plant needs a program with a "
                                         "pass-through block")
-            add(0, sv.s * (sv.v.T @ (r * w)) if whitened else r * w)
-            continue
-        j = find_mask(masks, pattern_of(mat, w).mask)
-        if j < 0:
-            raise MissingPlantError("planted pattern missing from the pattern set")
-        if plant.variant == "relu":
-            vec = abs(r) * w if paired else r * w
-            if whitened:
-                vec = sv.s * (sv.v.T @ vec)
-        else:  # normalized_relu_sum: coordinates in the pattern's basis
-            svj = compact_svd(masks[j][:, None].astype(float) * mat)
-            coef = svj.s * (svj.v.T @ w)
-            nrm = np.linalg.norm(coef)
-            if nrm == 0.0:
-                raise InvalidInputError("planted neuron is dead on this data")
-            vec = (abs(r) if paired else r) * coef / nrm
-        add(_block_index(skip, paired, j, r < 0), vec)
+            b, vec = 0, r * w
+        else:
+            j = find_mask(layout.masks, pattern_of(layout.x, w).mask)
+            if j < 0:
+                raise MissingPlantError("planted pattern missing from the pattern set")
+            scale = abs(r) if layout.paired else r
+            if plant.variant == "relu":
+                vec = scale * w
+            elif layout.bases is None:
+                raise InvalidInputError("a normalized plant needs a normalized program")
+            else:  # normalized_relu_sum: coordinates in the pattern's basis
+                vec = scale * normalized_target(layout.bases[j], w)
+            b = layout.block(j, r < 0)
+        sv = layout.whitening
+        if sv is not None:
+            vec = sv.s * (sv.v.T @ vec)
+        targets[b] = targets.get(b, 0.0) + vec
     return targets
 
 
-def assess_recovery(sol, plant, x, patterns, tol=1e-4, whitened=False):
-    """Judge a block solution against the planted model.
+def assess_recovery(sol, plant, prob, tol=1e-4):
+    """Judge a block solution of `prob` against the planted model.
 
     Success requires the active set to equal the planted block set and the
     stacked weight distance to fall below tol relative to the plant's own
-    block norm. whitened=True reads the solution in the whitened coordinates
-    of the penalized program.
+    block norm, both read in the program's own block coordinates.
     """
-    mat = as_matrix(x)
-    masks = mask_list(patterns)
-    skip, paired = _split_layout(len(sol.weights), len(masks))
-    sv = compact_svd(mat) if whitened else None
-    targets = _plant_targets(plant, mat, masks, skip, paired, whitened, sv)
+    targets = _plant_targets(plant, _layout(sol, prob))
     gap = 0.0
     scale = 0.0
     for b, vec in targets.items():
@@ -202,95 +222,71 @@ def assess_recovery(sol, plant, x, patterns, tol=1e-4, whitened=False):
                            support_match=support, extras=extras)
 
 
-def test_distance(sol, plant, x_test, program="grelu_skip", x=None, patterns=None):
+def test_distance(sol, plant, prob, x_test):
     """l2 gap between the solution's prediction on fresh data and the
     noiseless plant output there.
 
     Gated programs predict directly from the block weights (the signed relu
     sum plus any pass-through term); normalized programs go through network
-    reconstruction, which needs the training data and pattern set. The
-    penalized program additionally needs the training matrix to undo the
-    whitening.
+    reconstruction.
     """
+    layout = _layout(sol, prob)
     xt = as_matrix(x_test)
     clean = PlantedModel(variant=plant.variant, neurons=plant.neurons,
                          noise_sigma=0.0)
     truth, _ = gen_observation(clean, xt, seed=0)
-
-    if program not in PROGRAMS:
-        raise InvalidInputError("unknown program %r" % (program,))
-    if program in ("grelu_normal", "relu_normal_cone"):
-        if x is None or patterns is None:
-            raise InvalidInputError("normalized programs need x and patterns "
-                                    "to rebuild the network")
-        net = reconstruct_network(sol, x, patterns, "normalized")
+    if layout.bases is not None:
+        net = reconstruct_network(sol, prob)
         return float(np.linalg.norm(predict(net, xt) - truth))
 
-    weights = sol.weights
-    if program == "reg_grelu_skip":
-        if x is None:
-            raise InvalidInputError("the whitened program needs x to map "
-                                    "weights back")
-        sv = compact_svd(as_matrix(x))
-        weights = [sv.v @ (w / sv.s) for w in weights]
-    paired = program == "relu_skip_cone"
     pred = np.zeros(xt.shape[0])
     for b in sol.active_blocks:
-        if b == 0:
-            pred += xt @ weights[0]
+        w = layout.unwhiten(sol.weights[b])
+        if layout.skip and b == 0:
+            pred += xt @ w
         else:
-            sign = -1.0 if paired and (b - 1) % 2 else 1.0
-            pred += sign * np.maximum(xt @ weights[b], 0.0)
+            sign = -1.0 if layout.pattern(b)[1] else 1.0
+            pred += sign * np.maximum(xt @ w, 0.0)
     return float(np.linalg.norm(pred - truth))
 
 
-def reconstruct_network(sol, x, patterns, arch, whitened=False):
+def reconstruct_network(sol, prob):
     """Explicit two-layer network from the active blocks.
 
     Every active block becomes a neuron with balanced scaling ||w1|| = |w2|
-    (normalized arch: alpha = w2 = sqrt of the block norm). Active gated
+    (normalized arch: alpha = w2 = sqrt of the block norm). Gated programs
+    give the skip arch, normalized ones the normalized arch. Active gated
     blocks must respect their pattern: the sign profile of X w has to match
     the mask, else the block never came from a feasible network.
     """
-    if arch not in ARCHES:
-        raise InvalidInputError("unknown architecture %r" % (arch,))
-    mat = as_matrix(x)
-    masks = mask_list(patterns)
-    skip, paired = _split_layout(len(sol.weights), len(masks))
-    if skip != (arch == "skip"):
-        raise InvalidInputError("block layout does not fit the %s arch" % arch)
-    if whitened:
-        if arch == "normalized":
-            raise InvalidInputError("whitened coordinates apply to gated programs only")
-        sv = compact_svd(mat)
-
+    layout = _layout(sol, prob)
+    mat = layout.x
+    normalized = layout.bases is not None
     first, second, alphas, flags = [], [], [], []
     for b in sorted(sol.active_blocks):
-        if skip and b == 0:
-            w0 = sv.v @ (sol.weights[0] / sv.s) if whitened else sol.weights[0]
+        if layout.skip and b == 0:
+            w0 = layout.unwhiten(sol.weights[0])
             nrm = np.linalg.norm(w0)
             first.append(w0 / np.sqrt(nrm))
             second.append(np.sqrt(nrm))
             alphas.append(1.0)
             flags.append(True)
             continue
-        j = (b - int(skip)) // (2 if paired else 1)
-        negative = paired and (b - int(skip)) % 2 == 1
-        mask = masks[j]
-        if arch == "normalized":
-            svj = compact_svd(mask[:, None].astype(float) * mat)
+        j, negative = layout.pattern(b)
+        mask = layout.masks[j]
+        if normalized:
+            svj = layout.bases[j]
             if sol.weights[b].shape != (svj.rank,):
                 raise InvalidInputError("block %d does not hold basis coordinates" % b)
             w1 = svj.v @ (sol.weights[b] / svj.s)
         else:
-            w1 = (sv.v @ (sol.weights[b] / sv.s) if whitened
-                  else np.asarray(sol.weights[b], dtype=float))
+            w1 = layout.unwhiten(sol.weights[b])
         z = mat @ w1
         slack = 1e-8 * max(1.0, float(np.max(np.abs(z))))
         if np.any(z[mask == 1] < -slack) or np.any(z[mask == 0] > slack):
             raise InconsistentSolutionError(
                 "active block %d violates its arrangement pattern" % b)
-        if arch == "normalized":
+        if normalized:
             root = np.sqrt(np.linalg.norm(sol.weights[b]))
             first.append(w1 / np.linalg.norm(w1) * root)
         else:
@@ -299,8 +295,9 @@ def reconstruct_network(sol, x, patterns, arch, whitened=False):
         second.append(-root if negative else root)
         alphas.append(root)
         flags.append(False)
-    return NetworkWeights(arch=arch, first_layer=first, second_layer=second,
-                          alphas=alphas if arch == "normalized" else None,
+    return NetworkWeights(arch="normalized" if normalized else "skip",
+                          first_layer=first, second_layer=second,
+                          alphas=alphas if normalized else None,
                           linear_flags=flags)
 
 

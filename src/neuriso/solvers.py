@@ -27,7 +27,6 @@ class SolverOptions:
     tol: float = 1e-8          # relative residual target
     max_iter: int = 200_000
     rho_init: float = 1.0      # ADMM penalty start, rebalanced in flight
-    accel: bool = True         # momentum on/off for the penalized solver
 
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
@@ -46,6 +45,7 @@ class GroupProblem:
     target: np.ndarray         # y, length n
     beta: float = 0.0          # 0 means exact interpolation
     cones: list = None         # optional C_j with C_j w_j >= 0; None entries free
+    layout: object = None      # recovery.ProgramLayout; None when hand-built
 
 
 @dataclass
@@ -101,6 +101,9 @@ def _check_problem(p):
         for b, c in zip(blocks, cones):
             if c is not None and c.shape[1] != b.shape[1]:
                 raise InvalidInputError("cone column count must match its block")
+    arrays = blocks + [y] + [c for c in cones or () if c is not None]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InvalidInputError("blocks, target and cones must be finite")
     return blocks, y, cones
 
 
@@ -260,12 +263,9 @@ def solve_group_lasso(p, opts=None):
     for it in range(1, opts.max_iter + 1):
         g = a.T @ (a @ v - y)
         w_new = _soft_blocks(v - step * g, sl, step * beta)
-        if opts.accel:
-            tk_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-            v = w_new + ((tk - 1.0) / tk_new) * (w_new - w)
-            tk = tk_new
-        else:
-            v = w_new
+        tk_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+        v = w_new + ((tk - 1.0) / tk_new) * (w_new - w)
+        tk = tk_new
         w = w_new
         if it % 50 == 0:
             cur = objective(w)

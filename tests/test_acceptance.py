@@ -210,8 +210,7 @@ def _nic_instances():
         if rep.holds:
             prob = build_program(inst.x, inst.patterns, inst.y, program)
             sol = solve_group_min_norm(prob, _OPTS)
-            entry["verdict"] = assess_recovery(sol, inst.model, inst.x,
-                                               inst.patterns, tol=1e-6)
+            entry["verdict"] = assess_recovery(sol, inst.model, prob, tol=1e-6)
             ksol = BlockSolution(weights=_planted_solution(inst, prob, program),
                                  dual=cert.lam, objective=0.0,
                                  primal_residual=0.0, dual_residual=0.0,
@@ -306,9 +305,9 @@ def test_criterion_08_allones_degeneracy_below_2d():
         gate_resid = np.linalg.norm(ps.patterns[j].mask * (x @ w) - y)
         skip_obj = float(np.linalg.norm(w))
         gate_obj = float(np.linalg.norm(w))
-        sol = solve_group_min_norm(build_program(x, ps, y, "grelu_skip"),
-                                   _OPTS)
-        verdict = assess_recovery(sol, linear_plant(w), x, ps, tol=1e-4)
+        prob = build_program(x, ps, y, "grelu_skip")
+        sol = solve_group_min_norm(prob, _OPTS)
+        verdict = assess_recovery(sol, linear_plant(w), prob, tol=1e-4)
         if (gate_resid <= 1e-8 * np.linalg.norm(y)
                 and abs(skip_obj - gate_obj) <= 1e-8
                 and sol.objective <= skip_obj + 1e-8

@@ -15,7 +15,7 @@ from neuriso.solvers import SolverOptions
 def mini_cfg(**kw):
     base = dict(d_values=(4,), n_values=(8, 16), trials=2, ensemble="gaussian",
                 plant="linear", sigmas=(0.0,), program="grelu_skip",
-                metric="success", master_seed=7, pattern_count=25)
+                master_seed=7, pattern_count=25)
     base.update(kw)
     return ex.GridConfig(**base)
 
@@ -110,8 +110,6 @@ def test_grid_config_validation():
     with pytest.raises(InvalidInputError):
         mini_cfg(n_values=())
     with pytest.raises(InvalidInputError):
-        mini_cfg(metric="rmse")
-    with pytest.raises(InvalidInputError):
         mini_cfg(plant="normalized_pair")  # needs a normalized program
     with pytest.raises(InvalidInputError):
         mini_cfg(sigmas=(-0.5,))
@@ -132,7 +130,7 @@ def test_normalized_pair_cell():
 def sweep_cfg(**kw):
     base = dict(d_values=(5,), n_values=(20,), trials=1, ensemble="gaussian",
                 plant="linear", sigmas=(0.0,), program="reg_grelu_skip",
-                metric="success", master_seed=2, pattern_count=30,
+                master_seed=2, pattern_count=30,
                 betas=(0.0, 0.02, 5.0))
     base.update(kw)
     return ex.GridConfig(**base)
@@ -246,7 +244,6 @@ def test_config_roundtrip(tmp_path):
         "plant = linear\n"
         "sigmas = 0.0\n"
         "program = grelu_skip\n"
-        "metric = success\n"
         "master_seed = 7\n"
         "pattern_count = 25\n"
         "success_tol = 1e-4\n"

@@ -27,6 +27,16 @@ def test_compact_svd_respects_rank_tol():
     assert numerics.compact_svd(a, rank_tol=1e-15).rank == 2
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_compact_svd_rejects_non_finite(bad):
+    # LAPACK turns an inf into silent garbage and a nan into an untyped
+    # LinAlgError; both must stop at the boundary with a typed error
+    a = np.random.default_rng(2).normal(size=(8, 3))
+    a[3, 1] = bad
+    with pytest.raises(InvalidInputError):
+        numerics.compact_svd(a)
+
+
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
        st.integers(min_value=0, max_value=2 ** 31 - 1))
 @settings(max_examples=60, deadline=None)

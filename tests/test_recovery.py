@@ -43,29 +43,48 @@ def test_build_program_shapes():
     p = len(ps.patterns)
     y = np.zeros(20)
 
+    def assert_layout(prob, skip, paired):
+        lay = prob.layout
+        assert (lay.skip, lay.paired) == (skip, paired)
+        assert len(lay.masks) == p and np.array_equal(lay.x, x.mat)
+        assert all(np.array_equal(m, q.mask) for m, q in zip(lay.masks, ps.patterns))
+        # every pattern block maps back to its own pattern and sign
+        for j in range(p):
+            for neg in ((False, True) if paired else (False,)):
+                assert lay.pattern(lay.block(j, neg)) == (j, neg)
+
     g = rec.build_program(x, ps, y, "grelu_skip")
     assert len(g.blocks) == p + 1 and g.cones is None and g.beta == 0.0
     assert np.array_equal(g.blocks[0], x.mat)
+    assert_layout(g, skip=True, paired=False)
+    assert g.layout.whitening is None and g.layout.bases is None
 
     c = rec.build_program(x, ps, y, "relu_skip_cone")
     assert len(c.blocks) == 2 * p + 1
     assert c.cones[0] is None and all(cn is not None for cn in c.cones[1:])
     assert np.array_equal(c.blocks[2], -c.blocks[1])
     assert np.array_equal(c.cones[1], c.cones[2])
+    assert_layout(c, skip=True, paired=True)
 
     gn = rec.build_program(x, ps, y, "grelu_normal")
     assert len(gn.blocks) == p
     for b in gn.blocks:
         if b.shape[1]:
             assert np.linalg.norm(b.T @ b - np.eye(b.shape[1])) < 1e-9
+    assert_layout(gn, skip=False, paired=False)
+    assert all(sv.u is b for sv, b in zip(gn.layout.bases, gn.blocks))
 
     cn = rec.build_program(x, ps, y, "relu_normal_cone")
     assert len(cn.blocks) == 2 * p and all(c is not None for c in cn.cones)
+    assert_layout(cn, skip=False, paired=True)
+    assert len(cn.layout.bases) == p
 
     r = rec.build_program(x, ps, y, "reg_grelu_skip", beta=0.3)
     assert len(r.blocks) == p + 1 and r.beta == 0.3
     u0 = r.blocks[0]
     assert np.linalg.norm(u0.T @ u0 - np.eye(u0.shape[1])) < 1e-9
+    assert_layout(r, skip=True, paired=False)
+    assert r.layout.whitening.u is u0 and r.layout.bases is None
 
     with pytest.raises(InvalidInputError):
         rec.build_program(x, ps, y, "grelu_skip", beta=0.5)
@@ -84,9 +103,13 @@ def test_assess_exact_planted_solution():
     weights = [np.zeros(4) for _ in prob.blocks]
     weights[0] = w_star.copy()
     s = manual_solution(prob.blocks, weights)
-    v = rec.assess_recovery(s, ens.linear_plant(w_star), x, ps)
+    v = rec.assess_recovery(s, ens.linear_plant(w_star), prob)
     assert v.success and v.support_match and v.extras == 0
     assert v.abs_distance == 0.0
+    # the same blocks assembled by hand carry no layout to read
+    bare = sol.GroupProblem(blocks=prob.blocks, target=prob.target)
+    with pytest.raises(InvalidInputError):
+        rec.assess_recovery(s, ens.linear_plant(w_star), bare)
 
 
 def test_assess_spurious_block():
@@ -100,7 +123,7 @@ def test_assess_spurious_block():
     spurious = 0 if i_star else 1
     weights[1 + spurious] = 0.5 * np.ones(4) / 2.0
     s = manual_solution(prob.blocks, weights)
-    v = rec.assess_recovery(s, ens.relu_plant(w_star), x, ps)
+    v = rec.assess_recovery(s, ens.relu_plant(w_star), prob)
     assert not v.success and not v.support_match and v.extras == 1
 
 
@@ -112,7 +135,7 @@ def test_assess_missing_plant_pattern():
     prob = rec.build_program(x, ps, np.maximum(x.mat @ w_star, 0), "grelu_skip")
     s = manual_solution(prob.blocks, [np.zeros(4) for _ in prob.blocks])
     with pytest.raises(MissingPlantError):
-        rec.assess_recovery(s, ens.relu_plant(w_star), x, ps)
+        rec.assess_recovery(s, ens.relu_plant(w_star), prob)
 
 
 def test_linear_plant_pipeline_success_rate():
@@ -124,7 +147,7 @@ def test_linear_plant_pipeline_success_rate():
         y, _ = ens.gen_observation(ens.linear_plant(w_star), x, seed=400 + trial)
         prob = rec.build_program(x, ps, y, "grelu_skip")
         s = sol.solve_group_min_norm(prob)
-        v = rec.assess_recovery(s, ens.linear_plant(w_star), x, ps)
+        v = rec.assess_recovery(s, ens.linear_plant(w_star), prob)
         hits += int(v.success)
     assert hits / 5 >= 0.9  # n = 4d sits deep in the success region
 
@@ -138,7 +161,7 @@ def test_assess_scaling_invariance():
         y, _ = ens.gen_observation(plant, x, seed=0)
         prob = rec.build_program(x, ps, y, "grelu_skip")
         s = sol.solve_group_min_norm(prob)
-        v = rec.assess_recovery(s, plant, x, ps)
+        v = rec.assess_recovery(s, plant, prob)
         if c == 1.0:
             base = v.success
         else:
@@ -152,13 +175,34 @@ def test_assess_whitened_program():
     y, _ = ens.gen_observation(ens.linear_plant(w_star), x, seed=0)
     prob = rec.build_program(x, ps, y, "reg_grelu_skip", beta=1e-3)
     s = sol.solve_group_lasso(prob)
-    v = rec.assess_recovery(s, ens.linear_plant(w_star), x, ps,
-                            tol=2e-2, whitened=True)
+    v = rec.assess_recovery(s, ens.linear_plant(w_star), prob, tol=2e-2)
     # at tiny beta the whitened solve shrinks slightly toward zero but keeps
     # the skip support; the mapped plant coordinates must be the comparison
     assert v.support_match
     sv = np.linalg.svd(x.mat, compute_uv=False)
     assert v.abs_distance < 2e-2 * np.linalg.norm(w_star) * sv[0]
+
+
+def test_one_pattern_normal_cone_recovers():
+    # with a single pattern the paired normalized program has two blocks,
+    # as many as a skip block plus one gated block; the verdicts must read
+    # the program's own layout, not guess it from the block count
+    x = ens.gen_matrix("gaussian", 20, 4, seed=2)
+    w_star = ens.plant_direction(x, seed=3)
+    ps = arr.PatternSet(patterns=[arr.pattern_of(x.mat, w_star)],
+                        contains_all_ones=False, sampled=True)
+    plant = ens.normalized_plant([(w_star, 1.0)])
+    y, _ = ens.gen_observation(plant, x, seed=0)
+    prob = rec.build_program(x, ps, y, "relu_normal_cone")
+    assert len(prob.blocks) == 2
+    s = sol.solve_cone_constrained(prob)
+    assert s.converged and s.active_blocks == [0]
+    v = rec.assess_recovery(s, plant, prob)
+    assert v.success and v.support_match and v.extras == 0
+    assert v.abs_distance < 1e-6
+    net = rec.reconstruct_network(s, prob)
+    assert net.arch == "normalized" and len(net.first_layer) == 1
+    assert np.linalg.norm(rec.predict(net, x.mat) - y) < 1e-6
 
 
 # ---------------------------------------------------------------- distance
@@ -173,11 +217,12 @@ def test_test_distance_oracles():
     prob = rec.build_program(x, ps, x.mat @ w_star, "grelu_skip")
     exact = [np.zeros(5) for _ in prob.blocks]
     exact[0] = w_star.copy()
-    assert rec.test_distance(manual_solution(prob.blocks, exact), plant, x_test) == 0.0
+    exact_sol = manual_solution(prob.blocks, exact)
+    assert rec.test_distance(exact_sol, plant, prob, x_test) == 0.0
     zero = manual_solution(prob.blocks, [np.zeros(5) for _ in prob.blocks])
     e1 = np.zeros(5)
     e1[0] = 1.0
-    d = rec.test_distance(zero, ens.linear_plant(e1), x_test)
+    d = rec.test_distance(zero, ens.linear_plant(e1), prob, x_test)
     assert abs(d - np.linalg.norm(x_test.mat @ e1)) < 1e-12
 
 
@@ -194,7 +239,7 @@ def test_test_distance_improves_with_samples():
             prob = rec.build_program(x, ps, y, "grelu_skip")
             s = sol.solve_group_min_norm(prob)
             x_test = ens.gen_matrix("gaussian", 100, 6, seed=900 + trial)
-            acc.append(rec.test_distance(s, plant, x_test))
+            acc.append(rec.test_distance(s, plant, prob, x_test))
         dist[n] = float(np.mean(acc))
     assert dist[60] < dist[12]
 
@@ -209,7 +254,7 @@ def test_reconstruct_linear_only():
     prob = rec.build_program(x, ps, x.mat @ w_star, "grelu_skip")
     weights = [np.zeros(4) for _ in prob.blocks]
     weights[0] = w_star.copy()
-    net = rec.reconstruct_network(manual_solution(prob.blocks, weights), x, ps, "skip")
+    net = rec.reconstruct_network(manual_solution(prob.blocks, weights), prob)
     assert len(net.first_layer) == 1
     pred = rec.predict(net, x.mat)
     assert np.linalg.norm(pred - x.mat @ w_star) < 1e-10
@@ -227,7 +272,7 @@ def test_reconstruct_forward_matches_convex_prediction():
         prob = rec.build_program(x, ps, y, "grelu_skip")
         s = sol.solve_group_min_norm(prob, sol.SolverOptions(tol=1e-10))
         convex_pred = sum(b @ w for b, w in zip(prob.blocks, s.weights))
-        net = rec.reconstruct_network(s, x, ps, "skip")
+        net = rec.reconstruct_network(s, prob)
         pred = rec.predict(net, x.mat)
         assert np.linalg.norm(pred - convex_pred) < 1e-8 * max(1.0, np.linalg.norm(y))
         checked += 1
@@ -244,9 +289,9 @@ def test_reconstruct_normalized_arch():
     y, _ = ens.gen_observation(plant, x, seed=0)
     prob = rec.build_program(x, ps, y, "grelu_normal")
     s = sol.solve_group_min_norm(prob)
-    v = rec.assess_recovery(s, plant, x, ps)
+    v = rec.assess_recovery(s, plant, prob)
     assert v.success
-    net = rec.reconstruct_network(s, x, ps, "normalized")
+    net = rec.reconstruct_network(s, prob)
     assert net.alphas is not None and len(net.alphas) == len(net.first_layer)
     pred = rec.predict(net, x.mat)
     assert np.linalg.norm(pred - y) < 1e-6
@@ -261,7 +306,7 @@ def test_reconstruct_negative_pair_neuron():
     prob = rec.build_program(x, ps, y, "relu_skip_cone")
     weights = [np.zeros(4) for _ in prob.blocks]
     weights[1 + 2 * i_star + 1] = w_star.copy()  # negative copy of the pair
-    net = rec.reconstruct_network(manual_solution(prob.blocks, weights), x, ps, "skip")
+    net = rec.reconstruct_network(manual_solution(prob.blocks, weights), prob)
     assert len(net.first_layer) == 1
     assert net.second_layer[0] < 0
     pred = rec.predict(net, x.mat)
@@ -278,7 +323,7 @@ def test_reconstruct_rejects_mask_violation():
     weights = [np.zeros(4) for _ in prob.blocks]
     weights[1 + other] = w_star.copy()  # wrong cell for this direction
     with pytest.raises(InconsistentSolutionError):
-        rec.reconstruct_network(manual_solution(prob.blocks, weights), x, ps, "skip")
+        rec.reconstruct_network(manual_solution(prob.blocks, weights), prob)
 
 
 # ------------------------------------------------------- splitting/equivalence

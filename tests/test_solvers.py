@@ -172,6 +172,25 @@ def test_cone_solver_matches_unconstrained_when_cones_inactive():
     assert coned.objective <= np.linalg.norm(w_star) + 1e-6
 
 
+def test_solvers_reject_non_finite_problems():
+    # a NaN target used to run every iteration and come back unconverged
+    # with a finite objective; each solver must refuse it before iterating
+    opts = sol.SolverOptions(max_iter=50)
+    x = ens.gen_matrix("gaussian", 12, 3, seed=4).mat
+    y = x @ np.ones(3)
+    nan_y = y.copy()
+    nan_y[5] = np.nan
+    inf_cone = x.copy()
+    inf_cone[2, 1] = np.inf
+    cases = [(sol.solve_group_min_norm, dict(blocks=[x], target=nan_y)),
+             (sol.solve_group_lasso, dict(blocks=[x], target=nan_y, beta=0.5)),
+             (sol.solve_cone_constrained, dict(blocks=[x], target=nan_y, cones=[x])),
+             (sol.solve_cone_constrained, dict(blocks=[x], target=y, cones=[inf_cone]))]
+    for solve, problem in cases:
+        with pytest.raises(InvalidInputError):
+            solve(sol.GroupProblem(**problem), opts)
+
+
 def test_cone_solver_detects_joint_infeasibility():
     # without the planted cell every block is pinned to the wrong cone and
     # the gated features cannot reproduce a relu observation
