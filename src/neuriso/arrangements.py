@@ -259,6 +259,8 @@ def from_text(text):
             witness = np.array([float(t) for t in toks[1:]])
         except ValueError as exc:
             raise SchemaError("line %d: bad witness coordinate" % ln_no) from exc
+        if not np.isfinite(witness).all():
+            raise SchemaError("line %d: witness coordinates must be finite" % ln_no)
         mask = np.frombuffer(toks[0].encode(), dtype=np.uint8) - ord("0")
         pats.append(ArrangementPattern(mask=mask.astype(np.uint8), witness=witness))
     pats.sort(key=lambda q: tuple(q.mask))

@@ -25,24 +25,33 @@ class PlantedModel:
     noise_sigma: float = 0.0
 
 
-def _nonzero(w):
-    w = np.asarray(w, dtype=float)
-    if not np.any(w != 0.0):
-        raise InvalidInputError("planted weight vector must be nonzero")
-    return w
+def _finite(v, what):
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise InvalidInputError("%s must be finite" % what)
+    return v
+
+
+def _plant(variant, pairs, noise_sigma):
+    neurons = []
+    for w, r in pairs:
+        w = _finite(w, "planted weight vector")
+        if not np.any(w != 0.0):
+            raise InvalidInputError("planted weight vector must be nonzero")
+        neurons.append((w, float(_finite(r, "output weight"))))
+    return PlantedModel(variant, neurons, float(_finite(noise_sigma, "noise_sigma")))
 
 
 def linear_plant(w_star, noise_sigma=0.0):
-    return PlantedModel("linear", [(_nonzero(w_star), 1.0)], float(noise_sigma))
+    return _plant("linear", [(w_star, 1.0)], noise_sigma)
 
 
 def relu_plant(w_star, noise_sigma=0.0):
-    return PlantedModel("relu", [(_nonzero(w_star), 1.0)], float(noise_sigma))
+    return _plant("relu", [(w_star, 1.0)], noise_sigma)
 
 
 def normalized_plant(pairs, noise_sigma=0.0):
-    neurons = [(_nonzero(w), float(r)) for w, r in pairs]
-    return PlantedModel("normalized_relu_sum", neurons, float(noise_sigma))
+    return _plant("normalized_relu_sum", pairs, noise_sigma)
 
 
 def _signed_left_factor(a):
@@ -129,8 +138,9 @@ def gen_observation(model, x, seed):
 def gen_gmm(n1, n2, mu1, mu2, sigma, seed):
     """Two-component spherical mixture: n1 rows at mu1, n2 at mu2, noise
     sigma. Returns the stacked matrix and the component-one indicator q."""
-    mu1 = np.asarray(mu1, dtype=float)
-    mu2 = np.asarray(mu2, dtype=float)
+    mu1 = _finite(mu1, "mixture means")
+    mu2 = _finite(mu2, "mixture means")
+    _finite(sigma, "mixture sigma")
     if not np.any(mu1 != 0.0) or not np.any(mu2 != 0.0):
         raise InvalidInputError("mixture means must be nonzero")
     if mu1.shape != mu2.shape:

@@ -447,6 +447,8 @@ def network_from_text(text):
         except ValueError:
             raise SchemaError("bad neuron row %r" % (ln,))
         flags.append(tok[0] == "1")
+    if not all(np.isfinite(v).all() for v in [second, alphas] + first):
+        raise SchemaError("network weights and alphas must be finite")
     if alphas and len(alphas) != m:
         raise SchemaError("alphas must be present on every row or none")
     if alphas and head[1] != "normalized":

@@ -11,7 +11,7 @@ and `verify_kkt` replays the optimality system on any candidate solution.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import nnls
 
 from .errors import InfeasibleError, InvalidInputError
@@ -126,75 +126,128 @@ def _soft_blocks(v, slices, t):
 
 
 def _active(norms):
-    top = max(norms) if norms else 0.0
-    if top <= 0.0:
-        return []
-    return [i for i, v in enumerate(norms) if v > ZERO_REL * top]
+    top = max(norms, default=0.0)
+    return [i for i, v in enumerate(norms) if top > 0.0 and v > ZERO_REL * top]
 
 
-def _range_gap(sv, y):
-    # component of y outside the column span
-    return y - sv.u @ (sv.u.T @ y) if sv.rank else y
+def _cone_gap(c, w):
+    # largest negative part of C w
+    return float(np.max(np.maximum(-(c @ w), 0.0), initial=0.0))
 
 
-def solve_group_min_norm(p, opts=None):
-    """ADMM for min sum_j ||w_j|| subject to sum_j A_j w_j = y.
-
-    The w-step projects onto the equality set through a cached compact SVD
-    of the concatenated blocks, the z-step is the block soft threshold, and
-    the penalty is rebalanced whenever the residuals drift apart. Runs are
-    deterministic: fixed start, fixed block order. Returns the thresholded
-    iterate, so inactive blocks are exactly zero. An unreachable target
-    raises InfeasibleError; hitting the iteration cap returns a report with
-    converged False.
-    """
-    opts = opts or SolverOptions()
-    blocks, y, cones = _check_problem(p)
-    if p.beta != 0.0:
-        raise InvalidInputError("interpolation solve requires beta = 0")
-    if cones is not None:
-        raise InvalidInputError("use solve_cone_constrained for cone problems")
+def _admm(blocks, y, cones, opts):
+    # Cone rows C_j w_j = s_j get slacks s_j >= 0 with scaled multipliers v_j.
+    # The w-step minimizes ||w - (z - u)||^2 + sum_j ||C_j w_j - (s_j - v_j)||^2
+    # over Aw = y: with Q_j = I + C_j^T C_j = L_j L_j^T (I on a free block),
+    # q = Q^-1 (z - u + C^T (s - v)), t = A q - y and w = q - L^-T V (U^T t)/s,
+    # where U S V^T is the compact SVD of B = A blockdiag(L_j^-T). B spans
+    # what A spans, so the same SVD decides reachability. With no cones
+    # L = I, B = A and the projection is the plain least-norm one.
     sl, total = _slices(blocks)
     a = np.hstack(blocks)
-    sv = compact_svd(a)
-    if np.linalg.norm(_range_gap(sv, y)) > 1e-6 * (1.0 + np.linalg.norm(y)):
+    fac = [None if c is None else cho_factor(np.eye(b.shape[1]) + c.T @ c, lower=True)
+           for b, c in zip(blocks, cones)]
+    coned = [(s, c, f) for s, c, f in zip(sl, cones, fac) if f is not None]
+    if coned:
+        sv = compact_svd(np.hstack([
+            b if f is None else solve_triangular(f[0], b.T, lower=True).T
+            for b, f in zip(blocks, fac)]))
+        back = np.vstack([
+            sv.v[s] if f is None else solve_triangular(f[0], sv.v[s], lower=True, trans="T")
+            for s, f in zip(sl, fac)])
+    else:
+        sv = compact_svd(a)
+        back = sv.v
+    if np.linalg.norm(y - sv.u @ (sv.u.T @ y)) > 1e-6 * (1.0 + np.linalg.norm(y)):
         raise InfeasibleError("target is outside the span of the blocks")
 
     z = np.zeros(total)
     u = np.zeros(total)
+    slack = [np.zeros(c.shape[0]) for _, c, _ in coned]
+    scaled = [np.zeros(c.shape[0]) for _, c, _ in coned]
+
+    def project(z, u):
+        q = z - u
+        for (s, c, f), sk, vk in zip(coned, slack, scaled):
+            q[s] = cho_solve(f, q[s] + c.T @ (sk - vk))
+        return q, sv.u.T @ (a @ q - y)
+
     rho = opts.rho_init
     it = 0
     pr_rel = dr_rel = np.inf
+    stall_ref = np.inf
     for it in range(1, opts.max_iter + 1):
-        v = z - u
-        t = a @ v - y
-        w = v - sv.v @ ((sv.u.T @ t) / sv.s)
+        q, ut = project(z, u)
+        w = q - back @ (ut / sv.s)
         z_prev = z
         z = _soft_blocks(w + u, sl, 1.0 / rho)
         u = u + w - z
-        pr = np.linalg.norm(w - z)
-        dr = rho * np.linalg.norm(z - z_prev)
+        cone_pr2 = cone_dr2 = scaled2 = 0.0
+        for k, (s, c, _) in enumerate(coned):
+            cw = c @ w[s]
+            s_new = np.maximum(0.0, cw + scaled[k])
+            cone_pr2 += float(np.linalg.norm(cw - s_new) ** 2)
+            cone_dr2 += float(np.linalg.norm(c.T @ (s_new - slack[k])) ** 2)
+            scaled[k] = scaled[k] + cw - s_new
+            scaled2 += float(np.linalg.norm(scaled[k]) ** 2)
+            slack[k] = s_new
+        # hypot(x, 0.0) is exactly x, so the cone-free residuals are untouched
+        pr = np.hypot(np.linalg.norm(w - z), np.sqrt(cone_pr2))
+        dr = rho * np.hypot(np.linalg.norm(z - z_prev), np.sqrt(cone_dr2))
         pr_rel = pr / max(1.0, np.linalg.norm(w), np.linalg.norm(z))
-        dr_rel = dr / max(1.0, rho * np.linalg.norm(u))
+        dr_rel = dr / max(1.0, rho * np.hypot(np.linalg.norm(u), np.sqrt(scaled2)))
         if max(pr_rel, dr_rel) < opts.tol:
             break
+        if coned and it % 1000 == 0:
+            # a frozen primal residual with a settled dual means the
+            # equality and cone constraints cannot be met jointly
+            if (pr_rel > 1e-6 and dr_rel < opts.tol
+                    and abs(pr_rel - stall_ref) < 1e-9 * max(1.0, pr_rel)):
+                raise InfeasibleError(
+                    "constraint residual stalled above 1e-6; the cones are "
+                    "incompatible with the target")
+            stall_ref = pr_rel
         if it % 50 == 0 and max(pr_rel, dr_rel) > 10 * opts.tol:
             if pr > 10 * dr and rho < 1e8:
                 rho *= 2.0
-                u /= 2.0
+                for v in [u] + scaled:
+                    v /= 2.0
             elif dr > 10 * pr and rho > 1e-8:
                 rho /= 2.0
-                u *= 2.0
+                for v in [u] + scaled:
+                    v *= 2.0
 
-    t = a @ (z - u) - y
-    lam = -rho * (sv.u @ ((sv.u.T @ t) / sv.s**2)) if sv.rank else np.zeros(y.size)
+    _, ut = project(z, u)
+    lam = -rho * (sv.u @ (ut / sv.s**2))
     weights = [z[s].copy() for s in sl]
     norms = [float(np.linalg.norm(wj)) for wj in weights]
     return BlockSolution(
         weights=weights, dual=lam, objective=float(sum(norms)),
         primal_residual=float(np.linalg.norm(a @ z - y) / max(1.0, np.linalg.norm(y))),
-        dual_residual=float(dr_rel), cone_violation=0.0, iterations=it,
-        active_blocks=_active(norms), converged=bool(max(pr_rel, dr_rel) < opts.tol))
+        dual_residual=float(dr_rel),
+        cone_violation=max((_cone_gap(c, z[s]) for s, c, _ in coned), default=0.0),
+        iterations=it, active_blocks=_active(norms),
+        converged=bool(max(pr_rel, dr_rel) < opts.tol))
+
+
+def solve_group_min_norm(p, opts=None):
+    """ADMM for min sum_j ||w_j|| subject to sum_j A_j w_j = y.
+
+    The cone-free case of `solve_cone_constrained`: both run one ADMM, whose
+    w-step here is the plain least-norm projection onto the equality set
+    through a cached compact SVD of the concatenated blocks. The z-step is
+    the block soft threshold, and the penalty is rebalanced whenever the
+    residuals drift apart. Runs are deterministic: fixed start, fixed block
+    order. Returns the thresholded iterate, so inactive blocks are exactly
+    zero. An unreachable target raises InfeasibleError; hitting the
+    iteration cap returns a report with converged False.
+    """
+    blocks, y, cones = _check_problem(p)
+    if p.beta != 0.0:
+        raise InvalidInputError("interpolation solve requires beta = 0")
+    if cones is not None:
+        raise InvalidInputError("use solve_cone_constrained for cone problems")
+    return _admm(blocks, y, [None] * len(blocks), opts or SolverOptions())
 
 
 def _power_step(a):
@@ -216,17 +269,33 @@ def _power_step(a):
     return lam * (1.0 + 1e-3)
 
 
+def _block_kkt(grads, weights, th, cones=None):
+    """Worst (stationarity, dual feasibility, cone) violations at weights w_j
+    given per-block gradients g_j = A_j^T lam and threshold th.
+
+    An active block needs g_j + C_j^T mu = th w_j / ||w_j|| for some mu >= 0,
+    an inactive one ||g_j + C_j^T mu|| <= th; a free block has mu = 0.
+    """
+    norms = [float(np.linalg.norm(w)) for w in weights]
+    active = set(_active(norms))
+    stat = dual_f = cone_v = 0.0
+    for k, (g, w, c) in enumerate(zip(grads, weights, cones or [None] * len(grads))):
+        if k in active:
+            target = th * w / norms[k]
+            r = np.linalg.norm(g - target) if c is None else nnls(c.T, target - g)[1]
+            stat = max(stat, float(r))
+            if c is not None:
+                cone_v = max(cone_v, _cone_gap(c, w))
+        else:
+            r = np.linalg.norm(g) if c is None else nnls(c.T, -g)[1]
+            dual_f = max(dual_f, float(r) - th)
+    return stat, dual_f, cone_v
+
+
 def _lasso_kkt(a, sl, w, y, beta):
     g = a.T @ (y - a @ w)
-    norms = [np.linalg.norm(w[s]) for s in sl]
-    top = max(norms) if norms else 0.0
-    worst = 0.0
-    for s, nv in zip(sl, norms):
-        if top > 0.0 and nv > ZERO_REL * top:
-            worst = max(worst, float(np.linalg.norm(g[s] - beta * w[s] / nv)))
-        else:
-            worst = max(worst, max(0.0, float(np.linalg.norm(g[s])) - beta))
-    return worst
+    stat, dual_f, _ = _block_kkt([g[s] for s in sl], [w[s] for s in sl], beta)
+    return max(stat, dual_f)
 
 
 def solve_group_lasso(p, opts=None):
@@ -293,112 +362,20 @@ def solve_group_lasso(p, opts=None):
 def solve_cone_constrained(p, opts=None):
     """ADMM for min sum_j ||w_j|| s.t. sum_j A_j w_j = y and C_j w_j >= 0.
 
-    Cone rows get nonnegative slacks; the w-step solves a block-diagonal
-    quadratic with Q_j = I + C_j^T C_j coupled through the equality
-    multiplier (Schur system cached up front). Entries of `cones` may be
-    None for unconstrained blocks, e.g. a skip block. beta must be 0.
+    Entries of `cones` may be None for unconstrained blocks, e.g. a skip
+    block; with every entry None this is `solve_group_min_norm` bit for bit.
+    Cone rows get nonnegative slacks, so the w-step projects onto the
+    equality set in the metric Q_j = I + C_j^T C_j through one compact SVD
+    of the blocks whitened by the Cholesky factors of Q_j. Cones that
+    cannot meet the target stall the constraint residual, which raises
+    InfeasibleError. beta must be 0.
     """
-    opts = opts or SolverOptions()
     blocks, y, cones = _check_problem(p)
     if p.beta != 0.0:
         raise InvalidInputError("cone solve requires beta = 0")
     if cones is None:
         raise InvalidInputError("cone solve needs cone matrices (None entries allowed)")
-    sl, total = _slices(blocks)
-    n = y.size
-    sv = compact_svd(np.hstack(blocks))
-    if np.linalg.norm(_range_gap(sv, y)) > 1e-6 * (1.0 + np.linalg.norm(y)):
-        raise InfeasibleError("target is outside the span of the blocks")
-
-    qfac = [None if c is None else cho_factor(np.eye(b.shape[1]) + c.T @ c)
-            for b, c in zip(blocks, cones)]
-    msol = [b.T if q is None else cho_solve(q, b.T)
-            for b, q in zip(blocks, qfac)]
-    smat = sum(b @ mj for b, mj in zip(blocks, msol))
-    ssv = compact_svd(smat)
-
-    def ssolve(r):
-        return ssv.u @ ((ssv.u.T @ r) / ssv.s) if ssv.rank else np.zeros(n)
-
-    def wstep(z, u, svar, vdual):
-        q = np.empty(total)
-        for s, c, qf, sk, vk in zip(sl, cones, qfac, svar, vdual):
-            r = z[s] - u[s]
-            if c is not None:
-                r = r + c.T @ (sk - vk)
-            q[s] = r if qf is None else cho_solve(qf, r)
-        t = sum(b @ q[s] for b, s in zip(blocks, sl)) - y
-        mu = ssolve(t)
-        w = np.empty(total)
-        for s, mj in zip(sl, msol):
-            w[s] = q[s] - mj @ mu
-        return w, mu
-
-    z = np.zeros(total)
-    u = np.zeros(total)
-    svar = [None if c is None else np.zeros(n) for c in cones]
-    vdual = [None if c is None else np.zeros(n) for c in cones]
-    rho = opts.rho_init
-    it = 0
-    pr_rel = dr_rel = np.inf
-    stall_ref = np.inf
-    for it in range(1, opts.max_iter + 1):
-        w, _ = wstep(z, u, svar, vdual)
-        z_prev = z
-        z = _soft_blocks(w + u, sl, 1.0 / rho)
-        u = u + w - z
-        pr2 = float(np.linalg.norm(w - z) ** 2)
-        dr2 = float(np.linalg.norm(z - z_prev) ** 2)
-        dscale2 = float(np.linalg.norm(u) ** 2)
-        for k, (s, c) in enumerate(zip(sl, cones)):
-            if c is None:
-                continue
-            cw = c @ w[s]
-            s_new = np.maximum(0.0, cw + vdual[k])
-            pr2 += float(np.linalg.norm(cw - s_new) ** 2)
-            dr2 += float(np.linalg.norm(c.T @ (s_new - svar[k])) ** 2)
-            vdual[k] = vdual[k] + cw - s_new
-            dscale2 += float(np.linalg.norm(vdual[k]) ** 2)
-            svar[k] = s_new
-        pr = np.sqrt(pr2)
-        dr = rho * np.sqrt(dr2)
-        pr_rel = pr / max(1.0, np.linalg.norm(w), np.linalg.norm(z))
-        dr_rel = dr / max(1.0, rho * np.sqrt(dscale2))
-        if max(pr_rel, dr_rel) < opts.tol:
-            break
-        if it % 1000 == 0:
-            # a frozen primal residual with a settled dual means the
-            # equality and cone constraints cannot be met jointly
-            if (pr_rel > 1e-6 and dr_rel < opts.tol
-                    and abs(pr_rel - stall_ref) < 1e-9 * max(1.0, pr_rel)):
-                raise InfeasibleError(
-                    "constraint residual stalled above 1e-6; the cones are "
-                    "incompatible with the target")
-            stall_ref = pr_rel
-        if it % 50 == 0 and max(pr_rel, dr_rel) > 10 * opts.tol:
-            if pr > 10 * dr and rho < 1e8:
-                rho *= 2.0
-                u /= 2.0
-                vdual = [None if v is None else v / 2.0 for v in vdual]
-            elif dr > 10 * pr and rho > 1e-8:
-                rho /= 2.0
-                u *= 2.0
-                vdual = [None if v is None else v * 2.0 for v in vdual]
-
-    _, mu = wstep(z, u, svar, vdual)
-    lam = -rho * mu
-    weights = [z[s].copy() for s in sl]
-    norms = [float(np.linalg.norm(wj)) for wj in weights]
-    viol = 0.0
-    for wj, c in zip(weights, cones):
-        if c is not None:
-            viol = max(viol, float(np.max(np.maximum(-(c @ wj), 0.0), initial=0.0)))
-    az = sum(b @ wj for b, wj in zip(blocks, weights))
-    return BlockSolution(
-        weights=weights, dual=lam, objective=float(sum(norms)),
-        primal_residual=float(np.linalg.norm(az - y) / max(1.0, np.linalg.norm(y))),
-        dual_residual=float(dr_rel), cone_violation=viol, iterations=it,
-        active_blocks=_active(norms), converged=bool(max(pr_rel, dr_rel) < opts.tol))
+    return _admm(blocks, y, cones, opts or SolverOptions())
 
 
 def build_certificate(x, patterns, plant, kind):
@@ -450,29 +427,7 @@ def verify_kkt(p, s, tol=1e-8):
         raise InvalidInputError("solution and problem block counts differ")
     lam = np.asarray(s.dual, dtype=float).ravel()
     th = float(p.beta) if p.beta > 0 else 1.0
-    norms = [float(np.linalg.norm(w)) for w in weights]
-    top = max(norms) if norms else 0.0
-    stat = dual_f = cone_v = 0.0
-    for k, (b, w, nv) in enumerate(zip(blocks, weights, norms)):
-        g = b.T @ lam
-        c = cones[k] if cones is not None else None
-        if top > 0.0 and nv > ZERO_REL * top:
-            target = th * w / nv
-            if c is None:
-                r = float(np.linalg.norm(g - target))
-            else:
-                _, r = nnls(c.T, target - g)
-            stat = max(stat, float(r))
-            if c is not None:
-                cone_v = max(cone_v, float(np.max(np.maximum(-(c @ w), 0.0),
-                                                  initial=0.0)))
-        else:
-            if c is None:
-                excess = float(np.linalg.norm(g)) - th
-            else:
-                _, r = nnls(c.T, -g)
-                excess = float(r) - th
-            dual_f = max(dual_f, max(0.0, excess))
+    stat, dual_f, cone_v = _block_kkt([b.T @ lam for b in blocks], weights, th, cones)
     if p.beta == 0.0:
         fit = sum(b @ w for b, w in zip(blocks, weights)) - y
         primal = float(np.linalg.norm(fit) / max(1.0, np.linalg.norm(y)))

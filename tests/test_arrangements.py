@@ -177,3 +177,9 @@ def test_from_text_rejects_garbage():
     broken = good.replace("\n10 ", "\n1x ", 1)
     with pytest.raises(SchemaError):
         arr.from_text(broken)
+    lines = good.splitlines()
+    for bad in ("nan", "inf", "-inf"):
+        toks = lines[1].split()
+        toks[1] = bad
+        with pytest.raises(SchemaError):
+            arr.from_text("\n".join([lines[0], " ".join(toks)] + lines[2:]))

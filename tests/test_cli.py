@@ -33,6 +33,10 @@ def test_usage_errors_exit_2(capsys):
     assert dispatch(["phase", "--config", "/no/such/file.cfg"]) == 2
     assert dispatch(["solve", "--program", "grelu_normal", "--plant",
                      "linear", "--n", "10", "--d", "3"]) == 2
+    # a non-finite mixture used to run and print bound=nan
+    for sep, sigma in (("nan", "1.0"), ("2.0", "inf"), ("nan", "inf")):
+        assert dispatch(["gmm-check", "--n1", "5", "--n2", "5", "--d", "3",
+                         "--separation", sep, "--sigma", sigma]) == 2
     capsys.readouterr()
 
 

@@ -125,6 +125,16 @@ def test_duplicate_planted_masks_raise():
 def test_zero_plant_rejected():
     with pytest.raises(InvalidInputError):
         ens.linear_plant(np.zeros(4))
+    bad_w = np.array([1.0, np.nan, 0.0, 2.0])
+    for make in (lambda: ens.linear_plant(bad_w),
+                 lambda: ens.relu_plant(np.array([np.inf, 1.0])),
+                 lambda: ens.normalized_plant([(np.ones(3), 1.0), (bad_w[:3], -1.0)]),
+                 lambda: ens.normalized_plant([(np.ones(3), np.inf)]),
+                 lambda: ens.linear_plant(np.ones(4), noise_sigma=np.nan),
+                 lambda: ens.relu_plant(np.ones(4), noise_sigma=np.inf),
+                 lambda: ens.normalized_plant([(np.ones(3), 1.0)], noise_sigma=np.nan)):
+        with pytest.raises(InvalidInputError):
+            make()
 
 
 def test_plant_direction_kinds():
@@ -152,6 +162,11 @@ def test_gmm_zero_noise_rows_and_labels():
 def test_gmm_zero_means_rejected():
     with pytest.raises(InvalidInputError):
         ens.gen_gmm(2, 2, np.zeros(3), np.ones(3), sigma=1.0, seed=0)
+    nan_mean = np.array([np.nan, 1.0, 0.0])
+    for args in ((nan_mean, np.ones(3), 1.0), (np.ones(3), -np.inf * np.ones(3), 1.0),
+                 (np.ones(3), -np.ones(3), np.nan), (np.ones(3), -np.ones(3), np.inf)):
+        with pytest.raises(InvalidInputError):
+            ens.gen_gmm(2, 2, *args, seed=0)
 
 
 def test_gmm_success_bound_and_sweep():

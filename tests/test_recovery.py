@@ -430,3 +430,14 @@ def test_network_text_rejects_garbage():
     broken = good.replace("1.0", "zap", 1)
     with pytest.raises(SchemaError):
         rec.network_from_text(broken)
+    # non-finite output weights, first-layer weights and alphas; each row
+    # loads once its non-finite entry is replaced by 0.5
+    for row in ("1 inf - 0.5 1.0", "1 2.0 - nan 1.0", "0 1.0 0.5 -inf 1.0",
+                "0 1.0 nan 0.5 1.0"):
+        arch = "normalized" if " - " not in row else "skip"
+        text = "network-v1 %s 1 2\n%s\n" % (arch, row)
+        with pytest.raises(SchemaError):
+            rec.network_from_text(text)
+        for bad in ("-inf", "inf", "nan"):
+            text = text.replace(bad, "0.5")
+        assert rec.network_from_text(text).arch == arch

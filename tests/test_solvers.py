@@ -4,6 +4,7 @@ import pytest
 from neuriso import arrangements as arr
 from neuriso import ensembles as ens
 from neuriso import isometry as iso
+from neuriso import recovery as rec
 from neuriso import solvers as sol
 from neuriso.errors import InfeasibleError, InvalidInputError
 
@@ -172,6 +173,23 @@ def test_cone_solver_matches_unconstrained_when_cones_inactive():
     assert coned.objective <= np.linalg.norm(w_star) + 1e-6
 
 
+def test_cone_solver_without_cones_is_min_norm():
+    # with every cone entry None the cone solve is the min-norm iteration,
+    # so weights, multiplier and iteration count agree bit for bit
+    x = ens.gen_matrix("gaussian", 30, 4, seed=13)
+    w_star = ens.plant_direction(x, seed=14)
+    ps = arr.sample_patterns(x.mat, 60, seed=15)
+    blocks = gated_blocks(x, ps)
+    y = x.mat @ w_star
+    free = sol.solve_group_min_norm(sol.GroupProblem(blocks=blocks, target=y))
+    coned = sol.solve_cone_constrained(
+        sol.GroupProblem(blocks=blocks, target=y, cones=[None] * len(blocks)))
+    assert free.converged and coned.converged
+    assert coned.iterations == free.iterations
+    assert all(np.array_equal(a, b) for a, b in zip(free.weights, coned.weights))
+    assert np.array_equal(coned.dual, free.dual)
+
+
 def test_solvers_reject_non_finite_problems():
     # a NaN target used to run every iteration and come back unconverged
     # with a finite objective; each solver must refuse it before iterating
@@ -227,6 +245,29 @@ def test_cone_solver_skip_recovery():
     assert s.converged and s.cone_violation < 1e-6
     assert s.active_blocks == [0]
     assert np.linalg.norm(s.weights[0] - w_star) < 1e-5 * np.linalg.norm(w_star)
+
+
+def test_cone_solves_pass_kkt_with_their_multiplier():
+    # the equality multiplier of a converged cone solve, with per-block cone
+    # multipliers recovered by verify_kkt, satisfies the optimality system
+    x = ens.gen_matrix("gaussian", 40, 8, seed=16)
+    w_star = ens.plant_direction(x, seed=17)
+    ps = arr.sample_patterns(x.mat, 60, seed=18)
+    cases = [("relu_skip_cone", ps, x.mat @ w_star),
+             ("relu_normal_cone", arr.with_plants(x.mat, ps, [w_star]),
+              np.maximum(x.mat @ w_star, 0.0))]
+    probs = [(program, rec.build_program(x, pats, y, program))
+             for program, pats, y in cases]
+    # a hand-built cone need not have one row per observation
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((6, 3))
+    probs.append(("one-row cone", sol.GroupProblem(
+        blocks=[a], target=a @ np.array([1.0, -2.0, 0.5]), cones=[np.eye(3)[:1]])))
+    for name, prob in probs:
+        s = sol.solve_cone_constrained(prob)
+        assert s.converged, name
+        rep = sol.verify_kkt(prob, s, tol=1e-6)
+        assert rep.ok, (name, rep)
 
 
 def test_certificate_defining_equation_and_nic_equivalence():
