@@ -11,7 +11,7 @@ and `verify_kkt` replays the optimality system on any candidate solution.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import nnls
 
 from .errors import InfeasibleError, InvalidInputError
@@ -138,64 +138,64 @@ def _cone_gap(c, w):
 def _admm(blocks, y, cones, opts):
     # Cone rows C_j w_j = s_j get slacks s_j >= 0 with scaled multipliers v_j.
     # The w-step minimizes ||w - (z - u)||^2 + sum_j ||C_j w_j - (s_j - v_j)||^2
-    # over Aw = y: with Q_j = I + C_j^T C_j = L_j L_j^T (I on a free block),
-    # q = Q^-1 (z - u + C^T (s - v)), t = A q - y and w = q - L^-T V (U^T t)/s,
-    # where U S V^T is the compact SVD of B = A blockdiag(L_j^-T). B spans
-    # what A spans, so the same SVD decides reachability. With no cones
-    # L = I, B = A and the projection is the plain least-norm one.
+    # over Aw = y: with Q_j = I + C_j^T C_j (I on a free block), q =
+    # Q^-1 (z - u + C^T (s - v)) and mu = (A Q^-1 A^T)^+ (A q - y), it is
+    # w = q - Q^-1 A^T mu. With no cones Q = I and the compact SVD U S V^T
+    # of A gives w = q - V (U^T t)/s and mu = U (U^T t)/s^2 directly.
     sl, total = _slices(blocks)
     a = np.hstack(blocks)
-    fac = [None if c is None else cho_factor(np.eye(b.shape[1]) + c.T @ c, lower=True)
-           for b, c in zip(blocks, cones)]
-    coned = [(s, c, f) for s, c, f in zip(sl, cones, fac) if f is not None]
-    if coned:
-        sv = compact_svd(np.hstack([
-            b if f is None else solve_triangular(f[0], b.T, lower=True).T
-            for b, f in zip(blocks, fac)]))
-        back = np.vstack([
-            sv.v[s] if f is None else solve_triangular(f[0], sv.v[s], lower=True, trans="T")
-            for s, f in zip(sl, fac)])
-    else:
-        sv = compact_svd(a)
-        back = sv.v
+    sv = compact_svd(a)
     if np.linalg.norm(y - sv.u @ (sv.u.T @ y)) > 1e-6 * (1.0 + np.linalg.norm(y)):
         raise InfeasibleError("target is outside the span of the blocks")
-
-    z = np.zeros(total)
-    u = np.zeros(total)
+    fac = [None if c is None else cho_factor(np.eye(b.shape[1]) + c.T @ c)
+           for b, c in zip(blocks, cones)]
+    coned = [(s, c, f) for s, c, f in zip(sl, cones, fac) if f is not None]
     slack = [np.zeros(c.shape[0]) for _, c, _ in coned]
     scaled = [np.zeros(c.shape[0]) for _, c, _ in coned]
 
-    def project(z, u):
-        q = z - u
-        for (s, c, f), sk, vk in zip(coned, slack, scaled):
-            q[s] = cho_solve(f, q[s] + c.T @ (sk - vk))
-        return q, sv.u.T @ (a @ q - y)
+    if coned:
+        qinv_at = [b.T if f is None else cho_solve(f, b.T) for b, f in zip(blocks, fac)]
+        msv = compact_svd(sum(b @ m for b, m in zip(blocks, qinv_at)))
 
+        def project(z, u, dual=False):
+            q = z - u
+            for (s, c, f), sk, vk in zip(coned, slack, scaled):
+                q[s] = cho_solve(f, q[s] + c.T @ (sk - vk))
+            t = sum(b @ q[s] for b, s in zip(blocks, sl)) - y
+            mu = msv.u @ ((msv.u.T @ t) / msv.s)
+            return mu if dual else q - np.concatenate([m @ mu for m in qinv_at])
+    else:
+        def project(z, u, dual=False):
+            v = z - u
+            ut = sv.u.T @ (a @ v - y)
+            return sv.u @ (ut / sv.s**2) if dual else v - sv.v @ (ut / sv.s)
+
+    z = np.zeros(total)
+    u = np.zeros(total)
     rho = opts.rho_init
     it = 0
     pr_rel = dr_rel = np.inf
     stall_ref = np.inf
     for it in range(1, opts.max_iter + 1):
-        q, ut = project(z, u)
-        w = q - back @ (ut / sv.s)
+        w = project(z, u)
         z_prev = z
         z = _soft_blocks(w + u, sl, 1.0 / rho)
         u = u + w - z
-        cone_pr2 = cone_dr2 = scaled2 = 0.0
-        for k, (s, c, _) in enumerate(coned):
-            cw = c @ w[s]
-            s_new = np.maximum(0.0, cw + scaled[k])
-            cone_pr2 += float(np.linalg.norm(cw - s_new) ** 2)
-            cone_dr2 += float(np.linalg.norm(c.T @ (s_new - slack[k])) ** 2)
-            scaled[k] = scaled[k] + cw - s_new
-            scaled2 += float(np.linalg.norm(scaled[k]) ** 2)
-            slack[k] = s_new
-        # hypot(x, 0.0) is exactly x, so the cone-free residuals are untouched
-        pr = np.hypot(np.linalg.norm(w - z), np.sqrt(cone_pr2))
-        dr = rho * np.hypot(np.linalg.norm(z - z_prev), np.sqrt(cone_dr2))
+        pr, dr, du = (np.linalg.norm(v) for v in (w - z, z - z_prev, u))
+        if coned:
+            pr2, dr2, du2 = (float(v**2) for v in (pr, dr, du))
+            for k, (s, c, _) in enumerate(coned):
+                cw = c @ w[s]
+                s_new = np.maximum(0.0, cw + scaled[k])
+                pr2 += float(np.linalg.norm(cw - s_new) ** 2)
+                dr2 += float(np.linalg.norm(c.T @ (s_new - slack[k])) ** 2)
+                scaled[k] = scaled[k] + cw - s_new
+                du2 += float(np.linalg.norm(scaled[k]) ** 2)
+                slack[k] = s_new
+            pr, dr, du = np.sqrt(pr2), np.sqrt(dr2), np.sqrt(du2)
+        dr = rho * dr
         pr_rel = pr / max(1.0, np.linalg.norm(w), np.linalg.norm(z))
-        dr_rel = dr / max(1.0, rho * np.hypot(np.linalg.norm(u), np.sqrt(scaled2)))
+        dr_rel = dr / max(1.0, rho * du)
         if max(pr_rel, dr_rel) < opts.tol:
             break
         if coned and it % 1000 == 0:
@@ -217,8 +217,7 @@ def _admm(blocks, y, cones, opts):
                 for v in [u] + scaled:
                     v *= 2.0
 
-    _, ut = project(z, u)
-    lam = -rho * (sv.u @ (ut / sv.s**2))
+    lam = -rho * project(z, u, dual=True)
     weights = [z[s].copy() for s in sl]
     norms = [float(np.linalg.norm(wj)) for wj in weights]
     return BlockSolution(
@@ -365,10 +364,11 @@ def solve_cone_constrained(p, opts=None):
     Entries of `cones` may be None for unconstrained blocks, e.g. a skip
     block; with every entry None this is `solve_group_min_norm` bit for bit.
     Cone rows get nonnegative slacks, so the w-step projects onto the
-    equality set in the metric Q_j = I + C_j^T C_j through one compact SVD
-    of the blocks whitened by the Cholesky factors of Q_j. Cones that
-    cannot meet the target stall the constraint residual, which raises
-    InfeasibleError. beta must be 0.
+    equality set in the metric Q_j = I + C_j^T C_j: one Cholesky factor per
+    coned block, and the multiplier from a compact SVD of the n x n system
+    sum_j A_j Q_j^-1 A_j^T built up front. Cones that cannot meet the
+    target stall the constraint residual, which raises InfeasibleError.
+    beta must be 0.
     """
     blocks, y, cones = _check_problem(p)
     if p.beta != 0.0:
