@@ -271,9 +271,11 @@ def cmd_theory(args):
         _emit([("n", est.n), ("d", est.d), ("alpha", est.alpha),
                ("bound", est.bound), ("regime", est.regime)])
     elif act == "interval":
-        if args.eta is None or args.gamma is None:
-            raise UsageError("interval needs --eta and --gamma")
-        iv = noisy_beta_interval(args.eta, args.noise, args.gamma)
+        if args.eta is None:
+            raise UsageError("interval needs --eta")
+        # without --gamma the library's default gamma applies
+        extra = {} if args.gamma is None else {"gamma": args.gamma}
+        iv = noisy_beta_interval(args.eta, args.noise, **extra)
         _emit([("lo", iv.lo), ("hi", iv.hi),
                ("distance_bound", iv.distance_bound),
                ("reason", iv.reason or "-")])

@@ -87,16 +87,9 @@ def gen_matrix(kind, n, d, seed):
     return DataMatrix(mat=mat, kind=kind, seed=seed)
 
 
-def plant_direction(x, seed, how="gaussian"):
-    """Planted direction: a standard normal draw, or the data's smallest
-    right singular direction (sign fixed by its largest-magnitude entry)."""
-    mat = as_matrix(x)
-    if how == "gaussian":
-        return np.random.default_rng(seed).standard_normal(mat.shape[1])
-    if how == "min_singular":
-        v = np.linalg.svd(mat, full_matrices=False)[2][-1]
-        return v if v[int(np.argmax(np.abs(v)))] > 0 else -v
-    raise InvalidInputError("unknown plant direction rule %r" % (how,))
+def plant_direction(x, seed):
+    """Planted direction: a standard normal draw in the data's dimension."""
+    return np.random.default_rng(seed).standard_normal(as_matrix(x).shape[1])
 
 
 def gen_observation(model, x, seed):

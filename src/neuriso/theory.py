@@ -1,84 +1,47 @@
 """Asymptotic predictions: recovery thresholds, NIC limit curves, noise intervals.
 
-Everything here is deterministic analysis -- quadrature over Gaussian gate
-expectations, scalar root finding, and elementary probability bounds -- plus
-one small Monte-Carlo estimator for the orthant statistical dimension.
+Everything here is deterministic analysis -- closed-form Gaussian gate moments
+(the arc-cosine kernel moments of Cho & Saul, 2009), scalar root finding, and
+elementary probability bounds -- plus one small Monte-Carlo estimator for the
+orthant statistical dimension.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import chi2
 
 from .errors import InvalidInputError
 
 TWO_PI = 2.0 * math.pi
 _INV_SQRT_2PI = 1.0 / math.sqrt(TWO_PI)
-_SQRT_2 = math.sqrt(2.0)
 
 
 def _phi(t):
     return math.exp(-0.5 * t * t) * _INV_SQRT_2PI
 
 
-def _gauss_sf(t):
-    return 0.5 * math.erfc(t / _SQRT_2)
-
-
-def _tail_quad(f, lo, hi=np.inf):
-    val, _ = integrate.quad(f, lo, hi, limit=200)
-    return val
-
-
 # ---------------------------------------------------------------- gate expectations
 # All expectations are over x ~ N(0, I) with gates s'(t) = 1(t >= 0).  The two
-# gates are x1 and g*x1 + sqrt(1-g^2)*x2; weights are quadratic monomials.
+# gates are x1 and g*x1 + sqrt(1-g^2)*x2, at angle arccos(g); weights are
+# quadratic monomials.  Gammas a rounding error outside [-1, 1] read as the
+# endpoint.
 
-@lru_cache(maxsize=None)
 def _gate_sq(g):
     # E[s'(x1) s'(<h, x>) x1^2]
-    if g >= 1.0:
-        return 0.5
-    if g <= -1.0:
-        return 0.0
-    s = math.sqrt(1.0 - g * g)
-    return _tail_quad(lambda x: _gauss_sf(-g * x / s) * _phi(x) * x * x, 0.0)
+    g = min(1.0, max(-1.0, g))
+    return (math.pi - math.acos(g) + g * math.sqrt(1.0 - g * g)) / TWO_PI
 
 
-@lru_cache(maxsize=None)
 def _gate_one(g):
     # E[s'(x1) s'(<h, x>)]
-    if g >= 1.0:
-        return 0.5
-    if g <= -1.0:
-        return 0.0
-    s = math.sqrt(1.0 - g * g)
-    return _tail_quad(lambda x: _gauss_sf(-g * x / s) * _phi(x), 0.0)
+    return (math.pi - math.acos(min(1.0, max(-1.0, g)))) / TWO_PI
 
 
-@lru_cache(maxsize=None)
-def _gate_perp_sq(g):
-    # E[s'(x1) s'(<h, x>) x2^2]
-    if g >= 1.0:
-        return 0.5
-    if g <= -1.0:
-        return 0.0
-    s = math.sqrt(1.0 - g * g)
-
-    def f(x):
-        a = -g * x / s
-        return _phi(x) * (a * _phi(a) + _gauss_sf(a))
-
-    return _tail_quad(f, 0.0)
-
-
-@lru_cache(maxsize=None)
 def _half_phi(c):
     # int_0^inf phi(x) x phi(c x) dx; equals E[s' s' x1 x2] at c = g/s
-    return _tail_quad(lambda x: _phi(x) * x * _phi(c * x), 0.0)
+    return 1.0 / (TWO_PI * (1.0 + c * c))
 
 
 def c1_coef(gamma):
@@ -93,7 +56,8 @@ def c3_coef(gamma):
     if not -1.0 < gamma < 1.0:
         raise InvalidInputError("gamma must lie in (-1, 1)")
     g = float(gamma)
-    return (_gate_perp_sq(g) - _gate_one(g)) / (1.0 - g * g)
+    # 0.0 - g rather than -g, so that c3(0) is +0.0
+    return (0.0 - g) / (TWO_PI * math.sqrt(1.0 - g * g))
 
 
 def c2_coef(gamma):
@@ -101,8 +65,7 @@ def c2_coef(gamma):
     if not -1.0 < gamma < 1.0:
         raise InvalidInputError("gamma must lie in (-1, 1)")
     g = float(gamma)
-    s = math.sqrt(1.0 - g * g)
-    return _half_phi(g / s) / s - g * c3_coef(g)
+    return 1.0 / (TWO_PI * math.sqrt(1.0 - g * g))
 
 
 def _corr_ab(ga, gb):
@@ -136,9 +99,11 @@ def theta_curve(theta):
         raise InvalidInputError("theta must lie in [0, 0.5]")
     if theta == 0.0:
         return 0.5
-    q = chi2.ppf(1.0 - 2.0 * theta, 1)
-    tail = _tail_quad(lambda r: chi2.sf(r, 1), q)
-    return 0.5 + theta + q * theta + 0.5 * tail
+    # 1/2 + theta + q theta + 1/2 int_q^inf P(chi-square_1 > t) dt, q = r^2 and
+    # r the upper theta-quantile of N(0, 1); the tail integral equals
+    # 2 r phi(r) + 2 (1 - r^2) theta, so the q terms cancel
+    r = -NormalDist().inv_cdf(theta)
+    return 0.5 + 2.0 * theta + r * _phi(r)
 
 
 def solve_theta_star(tol=1e-10):
@@ -164,8 +129,7 @@ def curve_g_single(gamma):
     if not -1.0 <= gamma <= 1.0:
         raise InvalidInputError("gamma must lie in [-1, 1]")
     g = float(gamma)
-    j2 = (1.0 - g * g) / TWO_PI
-    return 2.0 * math.hypot(_gate_sq(g), j2)
+    return 2.0 * math.hypot(_gate_sq(g), _corr_ab(g, math.sqrt(1.0 - g * g)))
 
 
 def curve_g1(gamma):
@@ -173,13 +137,10 @@ def curve_g1(gamma):
     if not -1.0 <= gamma <= 1.0:
         raise InvalidInputError("gamma must lie in [-1, 1]")
     g = float(gamma)
-    if abs(g) == 1.0:
-        return 1.0
     # antisymmetrized difference of the two gate moments; the x1*x2 component
     # is even in gamma, so the two branches add instead of cancelling
     par = _gate_sq(g) - _gate_sq(-g)
-    s = math.sqrt(1.0 - g * g)
-    perp = 2.0 * _half_phi(g / s)
+    perp = 2.0 * _corr_ab(g, math.sqrt(1.0 - g * g))
     return 2.0 * math.hypot(par, perp)
 
 
@@ -189,7 +150,8 @@ _A_DIAG = 1.0 + 1.0 / math.pi
 def curve_g2(gamma1, gamma2):
     """Limit of the two-neuron NIC statistic for an orthogonal normalized pair."""
     a, b = float(gamma1), float(gamma2)
-    if a * a + b * b > 1.0 + 1e-9:
+    # written so that a nan gamma fails as well
+    if not a * a + b * b <= 1.0 + 1e-9:
         raise InvalidInputError("gamma1^2 + gamma2^2 must not exceed 1")
     c = math.sqrt(max(0.0, 1.0 - a * a - b * b))
     v11 = np.array([_gate_sq(a), _corr_ab(a, b), _corr_ab(a, c)])
@@ -267,10 +229,10 @@ class BetaInterval:
 
 def distance_bound(eta, noise_norm, beta):
     """Worst-case coefficient distance at regularization level beta."""
-    if not 0.0 <= noise_norm < eta:
-        raise InvalidInputError("need 0 <= noise_norm < eta")
-    if beta < 0.0:
-        raise InvalidInputError("beta must be nonnegative")
+    if not 0.0 <= noise_norm < eta < math.inf:
+        raise InvalidInputError("need 0 <= noise_norm < eta < inf")
+    if not 0.0 <= beta < math.inf:
+        raise InvalidInputError("beta must be finite and nonnegative")
     return beta * eta / (eta - noise_norm) + noise_norm
 
 
@@ -281,10 +243,10 @@ def noisy_beta_interval(eta, noise_norm, gamma=1.0 / 7.0):
     of the observation noise.  When the noise exceeds gamma * eta / 2 the
     guarantee is vacuous and an empty interval is returned with a reason.
     """
-    if eta <= 0.0:
-        raise InvalidInputError("eta must be positive")
-    if noise_norm < 0.0:
-        raise InvalidInputError("noise_norm must be nonnegative")
+    if not 0.0 < eta < math.inf:
+        raise InvalidInputError("eta must be finite and positive")
+    if not 0.0 <= noise_norm < math.inf:
+        raise InvalidInputError("noise_norm must be finite and nonnegative")
     if not 0.0 < gamma <= 1.0:
         raise InvalidInputError("gamma must lie in (0, 1]")
     if noise_norm > 0.5 * gamma * eta:
@@ -317,8 +279,8 @@ def threshold_check(n, d, sigma2):
     """Check n against the noisy-recovery sample-size requirements."""
     if n < 1 or d < 1:
         raise InvalidInputError("n and d must be at least 1")
-    if sigma2 < 0.0:
-        raise InvalidInputError("sigma2 must be nonnegative")
+    if not 0.0 <= sigma2 < math.inf:
+        raise InvalidInputError("sigma2 must be finite and nonnegative")
     noise_req = 4000.0 * sigma2 * d * math.log(54.0 * n)
     dim_req = 1024.0 * d
     binding = "noise" if noise_req >= dim_req else "dimension"

@@ -2,6 +2,9 @@
 artifacts, and rerun determinism."""
 
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +40,13 @@ def test_usage_errors_exit_2(capsys):
     for sep, sigma in (("nan", "1.0"), ("2.0", "inf"), ("nan", "inf")):
         assert dispatch(["gmm-check", "--n1", "5", "--n2", "5", "--d", "3",
                          "--separation", sep, "--sigma", sigma]) == 2
+    # non-finite theory inputs used to print nan or a made-up binding
+    for extra in (["threshold", "--n", "100", "--d", "3", "--sigma2", "nan"],
+                  ["threshold", "--n", "100", "--d", "3", "--sigma2", "inf"],
+                  ["interval", "--eta", "inf", "--noise", "0.05"],
+                  ["interval", "--eta", "1.0", "--noise", "nan"],
+                  ["interval", "--noise", "0.05"]):
+        assert dispatch(["theory"] + extra) == 2
     capsys.readouterr()
 
 
@@ -98,7 +108,7 @@ def test_theory_coefficients(capsys):
     pairs = kv(capsys)
     assert abs(float(pairs["c1"]) - 0.25) < 1e-12
     assert abs(float(pairs["c2"]) - 1.0 / (2.0 * np.pi)) < 1e-12
-    assert abs(float(pairs["c3"])) < 1e-12
+    assert pairs["c3"] == "0.0"
 
 
 def test_theory_curves(tmp_path, capsys):
@@ -132,6 +142,21 @@ def test_theory_kinematic_and_interval(capsys):
     pairs = kv(capsys)
     assert float(pairs["lo"]) == 0.0
     assert float(pairs["hi"]) == 1.0
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # every one-line theory and gmm-check command of the README's sh blocks
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    lines = [line.strip() for block in blocks for line in block.splitlines()]
+    commands = [line for line in lines
+                if line.startswith(("neuriso theory ", "neuriso gmm-check "))
+                and not line.endswith("\\")]
+    assert len(commands) >= 7
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert dispatch(shlex.split(command)[1:]) == 0, command
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------- one-shot

@@ -141,11 +141,6 @@ def test_plant_direction_kinds():
     x = ens.gen_matrix("gaussian", 30, 6, seed=9)
     w = ens.plant_direction(x, seed=5)
     assert w.shape == (6,) and np.array_equal(w, ens.plant_direction(x, seed=5))
-    v = ens.plant_direction(x, seed=5, how="min_singular")
-    s = np.linalg.svd(x.mat, compute_uv=False)
-    assert abs(np.linalg.norm(x.mat @ v) - s[-1]) < 1e-10
-    with pytest.raises(InvalidInputError):
-        ens.plant_direction(x, seed=5, how="qr")
 
 
 def test_gmm_zero_noise_rows_and_labels():

@@ -1,15 +1,17 @@
 """Tests for the asymptotic theory module.
 
-Closed forms derived by hand serve as oracles for the quadrature-backed
-implementation; Monte Carlo estimates of the defining random quantities
-provide an independent second route.
+The closed-form oracles below restate the library's own arc-cosine formulas
+(in arcsin form), so they guard against slips in assembly rather than in the
+moments themselves; the Monte Carlo estimates of the defining random
+quantities and the large-n matrix limits are the independent check.  The
+theta curve is checked against its quadrature definition.
 """
 
 import numpy as np
 import pytest
 from numpy.linalg import norm as vnorm
 from scipy import integrate
-from scipy.stats import chi2, norm
+from scipy.stats import chi2
 
 from neuriso import theory
 from neuriso.arrangements import allones_margin, sample_patterns
@@ -109,13 +111,18 @@ def test_theta_curve_endpoints():
     assert np.all(np.diff(vals) > 0)
 
 
+def theta_curve_quad(theta):
+    # the defining form: 1/2 + theta + q theta + 1/2 int_q^inf P(chi2_1 > r) dr
+    q = chi2.ppf(1.0 - 2.0 * theta, 1)
+    tail = integrate.quad(lambda r: chi2.sf(r, 1), q, np.inf, limit=200)[0]
+    return 0.5 + theta + q * theta + 0.5 * tail
+
+
 def test_theta_tail_closed_form():
-    # the chi-square survival integral has an elementary antiderivative
-    for q in (0.3, 1.0, 2.5):
-        s = np.sqrt(q)
-        closed = 2.0 * s * norm.pdf(s) + 2.0 * (1.0 - q) * norm.sf(s)
-        quad = integrate.quad(lambda r: chi2.sf(r, 1), q, np.inf)[0]
-        assert abs(closed - quad) < 1e-9
+    # the chi-square survival integral has an elementary antiderivative, which
+    # the library's closed form uses
+    for t in (0.01, 0.05, 0.1307583538, 0.3, 0.49):
+        assert abs(theory.theta_curve(t) - theta_curve_quad(t)) < 1e-9
 
 
 def test_solve_theta_star_rejects_bad_tol():
@@ -294,7 +301,7 @@ def test_orthogonal_pair_matrix_limit():
 # ---------------------------------------------------------------- gate coefficients
 
 def test_coefficients_at_zero():
-    assert abs(theory.c1_coef(0.0) - 0.25) < 1e-9
+    assert theory.c1_coef(0.0) == 0.25
     assert abs(theory.c2_coef(0.0) - 1.0 / TWO_PI) < 1e-9
     assert abs(theory.c3_coef(0.0)) < 1e-9
 
@@ -424,8 +431,10 @@ def test_distance_bound_function():
     assert abs(theory.distance_bound(1.0, 0.0, 1.0) - 1.0) < 1e-15
     got = theory.distance_bound(2.0, 0.5, 0.75)
     assert abs(got - (0.75 * 2.0 / 1.5 + 0.5)) < 1e-12
-    with pytest.raises(InvalidInputError):
-        theory.distance_bound(1.0, 1.5, 0.1)
+    for args in ((1.0, 1.5, 0.1), (1.0, 0.1, np.nan), (1.0, 0.1, np.inf),
+                 (np.inf, 0.1, 0.5), (1.0, np.nan, 0.5)):
+        with pytest.raises(InvalidInputError):
+            theory.distance_bound(*args)
 
 
 def test_noisy_interval_validation():
@@ -433,6 +442,11 @@ def test_noisy_interval_validation():
         theory.noisy_beta_interval(0.0, 0.0, gamma=0.5)
     with pytest.raises(InvalidInputError):
         theory.noisy_beta_interval(1.0, 0.0, gamma=0.0)
+    # non-finite inputs used to return nan bounds with an empty reason
+    for eta, noise in ((np.inf, 0.05), (np.nan, 0.05), (1.0, np.nan),
+                       (1.0, np.inf)):
+        with pytest.raises(InvalidInputError):
+            theory.noisy_beta_interval(eta, noise)
 
 
 # ---------------------------------------------------------------- sample-size thresholds
@@ -453,3 +467,7 @@ def test_threshold_noiseless_binding():
     assert rep.binding == "dimension"
     assert rep.satisfied
     assert not theory.threshold_check(10239, 10, 0.0).satisfied
+    # a non-finite noise level used to report the dimension requirement
+    for sigma2 in (np.nan, np.inf, -1.0):
+        with pytest.raises(InvalidInputError):
+            theory.threshold_check(100, 3, sigma2)
