@@ -15,6 +15,7 @@ from .errors import (AccuracyError, InvalidInputError, MissingPlantError,
                      SchemaError, SizeLimitError)
 
 MARGIN_EPS = 1e-9  # strict-realizability threshold on the unit-ball margin
+MAX_EXACT_N = 18  # row cap of exact enumeration
 
 
 @dataclass
@@ -25,24 +26,27 @@ class ArrangementPattern:
 
 @dataclass
 class PatternSet:
-    patterns: list  # ArrangementPattern, lexicographic by mask bits
+    """Arrangement patterns in lexicographic mask order.
+
+    The set owns the pattern order: it sorts its patterns on construction and
+    stacks their masks as the (p, n) uint8 matrix `masks`, whose row j is
+    pattern j; `index(mask)` finds a mask's row in O(1).
+    """
+
+    patterns: list  # ArrangementPattern
     contains_all_ones: bool
     sampled: bool  # True when built by sampling (no completeness claim)
 
-    def mask_matrix(self):
-        """Masks stacked as a (p, n) boolean array."""
-        return np.array([p.mask for p in self.patterns], dtype=bool)
+    def __post_init__(self):
+        self.patterns = sorted(self.patterns, key=lambda p: p.mask.tolist())
+        n = len(self.patterns[0].mask) if self.patterns else 0
+        self.masks = np.array([p.mask for p in self.patterns],
+                              dtype=np.uint8).reshape(len(self.patterns), n)
+        self._rows = {m.tobytes(): j for j, m in enumerate(self.masks)}
 
-
-def mask_list(patterns):
-    """Masks of a PatternSet, or of a sequence of patterns or masks, as uint8."""
-    items = patterns.patterns if isinstance(patterns, PatternSet) else patterns
-    return [np.asarray(getattr(p, "mask", p), dtype=np.uint8) for p in items]
-
-
-def find_mask(masks, mask):
-    """Position of `mask` in the sequence `masks`, or -1 when absent."""
-    return next((j for j, m in enumerate(masks) if np.array_equal(m, mask)), -1)
+    def index(self, mask):
+        """Row of `mask` in `masks`, or -1 when the set lacks it."""
+        return self._rows.get(np.asarray(mask, dtype=np.uint8).tobytes(), -1)
 
 
 def pattern_of(x, h):
@@ -56,20 +60,19 @@ def pattern_of(x, h):
 
 def with_plants(x, pattern_set, directions):
     """The set grown by pattern_of(x, w) for each direction w whose mask it
-    lacks, in lexicographic mask order. Only a sampled set may grow: a plant
-    missing from an exact enumeration raises MissingPlantError."""
-    pats = list(pattern_set.patterns)
-    masks = mask_list(pats)
+    lacks; the set itself when it lacks none. Only a sampled set may grow: a
+    plant missing from an exact enumeration raises MissingPlantError."""
+    missing = {}
     for w in directions:
         cand = pattern_of(x, w)
-        if find_mask(masks, cand.mask) < 0:
-            if not pattern_set.sampled:
-                raise MissingPlantError("planted pattern missing from exact pattern set")
-            pats.append(cand)
-            masks.append(cand.mask)
-    pats.sort(key=lambda p: p.mask.tolist())
-    return PatternSet(patterns=pats, contains_all_ones=pattern_set.contains_all_ones,
-                      sampled=pattern_set.sampled)
+        if pattern_set.index(cand.mask) < 0:
+            missing.setdefault(cand.mask.tobytes(), cand)
+    if not missing:
+        return pattern_set
+    if not pattern_set.sampled:
+        raise MissingPlantError("planted pattern missing from exact pattern set")
+    return PatternSet(patterns=pattern_set.patterns + list(missing.values()),
+                      contains_all_ones=pattern_set.contains_all_ones, sampled=True)
 
 
 def _affine_min(pts):
@@ -146,17 +149,7 @@ def allones_margin(x):
     return float(np.min(x @ w)), w
 
 
-def _strict_margin(signed_rows):
-    # margin of the system signed_rows @ h > 0 over the unit ball
-    v = _min_norm_point(signed_rows)
-    u = float(np.linalg.norm(v))
-    if u <= MARGIN_EPS:
-        return 0.0, None
-    w = v / u
-    return float(np.min(signed_rows @ w)), w
-
-
-def enumerate_exact(x, max_n=18):
+def enumerate_exact(x):
     """Every mask realizable with a strict-interior witness (margin > 1e-9).
 
     Cells are grown row by row; a child sign vector inherits its parent's
@@ -165,8 +158,8 @@ def enumerate_exact(x, max_n=18):
     """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
-    if n > max_n:
-        raise SizeLimitError("exact enumeration capped at n = %d rows" % max_n)
+    if n > MAX_EXACT_N:
+        raise SizeLimitError("exact enumeration capped at n = %d rows" % MAX_EXACT_N)
     cells = [(np.zeros(0), None, np.inf)]  # (sign vector, witness, margin)
     for k in range(n):
         grown = []
@@ -177,13 +170,12 @@ def enumerate_exact(x, max_n=18):
                 if h is not None and min(m, sgn * val) > MARGIN_EPS:
                     grown.append((child, h, min(m, sgn * val)))
                     continue
-                t, w = _strict_margin(x[: k + 1] * child[:, None])
+                t, w = allones_margin(x[: k + 1] * child[:, None])
                 if t > MARGIN_EPS:
                     grown.append((child, w, t))
         cells = grown
     pats = [ArrangementPattern(mask=(signs > 0).astype(np.uint8), witness=h)
             for signs, h, _ in cells]
-    pats.sort(key=lambda p: tuple(p.mask))
     ones = any(np.all(p.mask == 1) for p in pats)
     return PatternSet(patterns=pats, contains_all_ones=ones, sampled=False)
 
@@ -209,13 +201,13 @@ def sample_patterns(x, count, seed):
         key = np.ones(n, dtype=bool).tobytes()
         if key not in seen:
             seen[key] = ArrangementPattern(mask=np.ones(n, dtype=np.uint8), witness=w)
-    pats = sorted(seen.values(), key=lambda p: tuple(p.mask))
-    return PatternSet(patterns=pats, contains_all_ones=contains, sampled=True)
+    return PatternSet(patterns=list(seen.values()), contains_all_ones=contains,
+                      sampled=True)
 
 
 def is_maximal(pattern_set, i):
     """True iff no other mask in the set contains mask i entrywise."""
-    masks = pattern_set.mask_matrix()
+    masks = pattern_set.masks
     mi = masks[i]
     for j in range(masks.shape[0]):
         if j != i and np.all(masks[j] & mi == mi):
@@ -263,5 +255,4 @@ def from_text(text):
             raise SchemaError("line %d: witness coordinates must be finite" % ln_no)
         mask = np.frombuffer(toks[0].encode(), dtype=np.uint8) - ord("0")
         pats.append(ArrangementPattern(mask=mask.astype(np.uint8), witness=witness))
-    pats.sort(key=lambda q: tuple(q.mask))
     return PatternSet(patterns=pats, contains_all_ones=ones, sampled=sampled)

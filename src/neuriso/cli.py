@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .arrangements import enumerate_exact, to_text
+from .arrangements import MAX_EXACT_N, enumerate_exact, pattern_of, to_text
 from .ensembles import MATRIX_KINDS, gen_gmm, gmm_success_bound
 from .errors import (InconsistentSolutionError, InvalidInputError,
                      NeurisoError)
@@ -119,8 +119,9 @@ def cmd_arrangements(args):
     if args.count:
         ps = inst.patterns
     else:
-        if args.n > 18:
-            raise UsageError("exact enumeration is capped at n = 18; pass --count")
+        if args.n > MAX_EXACT_N:
+            raise UsageError("exact enumeration is capped at n = %d; pass --count"
+                             % MAX_EXACT_N)
         ps = enumerate_exact(inst.x)
     bound = 2 * sum(math.comb(args.n - 1, k) for k in range(min(args.d, args.n)))
     _emit([("n", args.n), ("d", args.d), ("count", len(ps.patterns)),
@@ -245,6 +246,8 @@ def cmd_theory(args):
         _emit([("gamma", g), ("c1", c1_coef(g)), ("c2", c2_coef(g)),
                ("c3", c3_coef(g))])
     elif act == "curves":
+        if args.points < 0 or args.grid_points < 0:
+            raise UsageError("--points and --grid-points must be nonnegative")
         out = args.out or "."
         os.makedirs(out, exist_ok=True)
         gammas = np.linspace(-1.0, 1.0, args.points)
@@ -300,7 +303,7 @@ def cmd_gmm_check(args):
     data, q = gen_gmm(args.n1, args.n2, mu1, mu2, args.sigma,
                       seed=np.random.SeedSequence(args.seed or 0))
     w = mu1 / np.linalg.norm(mu1) - mu2 / np.linalg.norm(mu2)
-    mask = (data.mat @ w >= 0.0).astype(np.uint8)
+    mask = pattern_of(data.mat, w).mask
     _emit([("n1", args.n1), ("n2", args.n2), ("d", d),
            ("separation", float(args.separation)), ("sigma", float(args.sigma)),
            ("bound", float(gmm_success_bound(args.n1, args.n2, mu1, mu2,

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arrangements import pattern_of
 from .errors import DegeneratePlantError, InvalidInputError, InvalidShapeError
 from .numerics import as_matrix
 
@@ -114,7 +115,7 @@ def gen_observation(model, x, seed):
             nrm = np.linalg.norm(act)
             if nrm == 0.0:
                 raise DegeneratePlantError("planted neuron is dead on this data")
-            key = (mat @ w >= 0.0).tobytes()
+            key = pattern_of(mat, w).mask.tobytes()
             if key in seen:
                 raise DegeneratePlantError("planted neurons share an activation pattern")
             seen.add(key)

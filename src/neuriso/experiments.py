@@ -222,7 +222,7 @@ def _run_cell(cfg, d, n, sigma, trial):
         if sol.converged:
             row["success"] = int(verdict.success)
         else:
-            row["note"] = "solver hit the iteration cap"
+            row["note"] = _note_join(row["note"], "solver hit the iteration cap")
         try:
             x_test = gen_matrix(cfg.ensemble, n, d, seed=inst.test_seed).mat
             row["test_distance"] = test_distance(sol, inst.model, prob, x_test)
@@ -536,8 +536,7 @@ def load_config(path):
         if "solver" in parser:
             sol = parser["solver"]
             opts = {}
-            for key, conv in (("tol", float), ("max_iter", int),
-                              ("rho_init", float)):
+            for key, conv in (("tol", float), ("max_iter", int)):
                 if key in sol:
                     opts[key] = conv(sol[key])
             kwargs["solver"] = SolverOptions(**opts)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangements import find_mask, mask_list, pattern_of, with_plants
+from .arrangements import pattern_of, with_plants
 from .errors import DegenerateStackError, InvalidInputError
 from .numerics import as_matrix, compact_svd, stacked_pinv_apply, unit
 
@@ -30,12 +30,6 @@ class NicReport:
     lam: np.ndarray = None  # the multiplier behind lhs; None for SNIC_ORTH
 
 
-def _with_plants(mat, patterns, directions):
-    # masks of the grown set and the positions of the planted ones in it
-    masks = mask_list(with_plants(mat, patterns, directions))
-    return masks, [find_mask(masks, pattern_of(mat, w).mask) for w in directions]
-
-
 def _pattern_norms(mat, masks, lam, normalized):
     """||A_j^T lam|| per mask: A_j = D_j X, or the left basis U_j of D_j X."""
     if normalized:
@@ -43,13 +37,13 @@ def _pattern_norms(mat, masks, lam, normalized):
     return np.linalg.norm((np.array(masks, dtype=float) * lam) @ mat, axis=1)
 
 
-def _assemble(kind, mat, masks, lam, planted_idx, normalized=False):
-    lhs = [float(v) for v in _pattern_norms(mat, masks, lam, normalized)]
+def _assemble(kind, mat, patterns, lam, planted_idx, normalized=False):
+    lhs = [float(v) for v in _pattern_norms(mat, patterns.masks, lam, normalized)]
     skip = set(planted_idx)
     off = [v for i, v in enumerate(lhs) if i not in skip]
     mx = max(off) if off else 0.0
     return NicReport(kind=kind,
-                     per_pattern=list(zip(masks, lhs)),
+                     per_pattern=list(zip(patterns.masks, lhs)),
                      max_lhs=mx,
                      holds=mx < 1.0 - STRICT_MARGIN,
                      planted_indices=list(planted_idx),
@@ -65,21 +59,22 @@ def nic_linear(x, w_star, patterns):
     if sv.rank < mat.shape[1]:
         raise DegenerateStackError("X^T X is singular")
     lam = mat @ (sv.v @ ((sv.v.T @ what) / sv.s**2))
-    return _assemble("NIC_L", mat, mask_list(patterns), lam, [])
+    return _assemble("NIC_L", mat, patterns, lam, [])
 
 
 def nic_relu_single(x, w_star, patterns):
     """lhs_j = ||X^T D_j D_i* X (X^T D_i* X)^{-1} w_hat||, i* the plant."""
     mat = as_matrix(x)
     what = unit(w_star)
-    masks, pidx = _with_plants(mat, patterns, [what])
-    mi = masks[pidx[0]].astype(float)
+    grown = with_plants(mat, patterns, [what])
+    pm = pattern_of(mat, what).mask
+    mi = pm.astype(float)
     gram = mat.T @ (mi[:, None] * mat)
     sig = np.linalg.svd(gram, compute_uv=False)
     if sig.size == 0 or sig[-1] <= 1e-12 * sig[0]:
         raise DegenerateStackError("X^T D X is singular at the planted pattern")
     lam = mi * (mat @ np.linalg.solve(gram, what))
-    return _assemble("NIC_1", mat, masks, lam, pidx)
+    return _assemble("NIC_1", mat, grown, lam, [grown.index(pm)])
 
 
 def normalized_target(sv, w):
@@ -96,10 +91,11 @@ def nnic_single(x, w_star, patterns):
     """lhs_j = ||U_j^T U_i* w_tilde|| with U from the compact SVD of D X."""
     mat = as_matrix(x)
     w = np.asarray(w_star, dtype=float)
-    masks, pidx = _with_plants(mat, patterns, [w])
-    sv = compact_svd(masks[pidx[0]][:, None] * mat)
-    return _assemble("NNIC_1", mat, masks, sv.u @ normalized_target(sv, w), pidx,
-                     normalized=True)
+    grown = with_plants(mat, patterns, [w])
+    pm = pattern_of(mat, w).mask
+    sv = compact_svd(pm[:, None] * mat)
+    return _assemble("NNIC_1", mat, grown, sv.u @ normalized_target(sv, w),
+                     [grown.index(pm)], normalized=True)
 
 
 def nic_multi(x, plant, patterns, normalized):
@@ -119,10 +115,10 @@ def nic_multi(x, plant, patterns, normalized):
         if not normalized and r not in (-1.0, 1.0):
             raise InvalidInputError("plain output weights must be +1 or -1")
     pmasks = [pattern_of(mat, w).mask for w, _ in plant]
-    for a in range(len(pmasks)):
-        if find_mask(pmasks[a + 1:], pmasks[a]) >= 0:
-            raise InvalidInputError("planted masks must be pairwise distinct")
-    masks, pidx = _with_plants(mat, patterns, [w for w, _ in plant])
+    grown = with_plants(mat, patterns, [w for w, _ in plant])
+    pidx = [grown.index(pm) for pm in pmasks]
+    if len(set(pidx)) < len(pidx):
+        raise InvalidInputError("planted masks must be pairwise distinct")
     if normalized:
         blocks, target = [], []
         for (w, r), pm in zip(plant, pmasks):
@@ -130,10 +126,10 @@ def nic_multi(x, plant, patterns, normalized):
             blocks.append(sv.u.T)
             target.append(r * normalized_target(sv, w))
         lam = stacked_pinv_apply(blocks, np.concatenate(target))
-        return _assemble("NNIC_K", mat, masks, lam, pidx, normalized=True)
+        return _assemble("NNIC_K", mat, grown, lam, pidx, normalized=True)
     blocks = [mat.T * pm.astype(float)[None, :] for pm in pmasks]
     lam = stacked_pinv_apply(blocks, np.concatenate([r * unit(w) for w, r in plant]))
-    return _assemble("NIC_K", mat, masks, lam, pidx)
+    return _assemble("NIC_K", mat, grown, lam, pidx)
 
 
 def snic_orth(x, patterns):
@@ -142,7 +138,7 @@ def snic_orth(x, patterns):
     n, d = mat.shape
     if np.max(np.abs(mat.T @ mat - np.eye(d))) > 1e-6:
         raise InvalidInputError("data matrix must be column-orthonormal")
-    masks = mask_list(patterns)
+    masks = patterns.masks
     traces = [int(np.sum(m)) for m in masks]
     denom = n - d
     lhs = [tr / denom if denom > 0 else (0.0 if tr == 0 else np.inf) for tr in traces]

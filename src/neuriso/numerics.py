@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import DegenerateStackError, InvalidInputError
 
+RANK_TOL = 1e-10  # compact_svd drops singular values <= RANK_TOL * s_max
+
 
 @dataclass
 class CompactSvd:
@@ -33,8 +35,8 @@ def unit(w):
     return w / nrm
 
 
-def compact_svd(m, rank_tol=1e-10):
-    """Compact SVD of `m`, dropping singular values <= rank_tol * s_max.
+def compact_svd(m):
+    """Compact SVD of `m`, dropping singular values <= RANK_TOL * s_max.
 
     A zero matrix yields rank 0 with empty factors; a non-finite entry raises
     InvalidInputError before LAPACK sees it. Deterministic for a fixed input
@@ -49,7 +51,7 @@ def compact_svd(m, rank_tol=1e-10):
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(s > rank_tol * s[0]))
+        rank = int(np.sum(s > RANK_TOL * s[0]))
     return CompactSvd(u=u[:, :rank], s=s[:rank], v=vt[:rank].T, rank=rank)
 
 

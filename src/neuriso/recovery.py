@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrangements import find_mask, mask_list, pattern_of
+from .arrangements import PatternSet, pattern_of
 from .ensembles import PlantedModel, gen_observation
 from .errors import (InconsistentSolutionError, InvalidInputError,
                      InvalidShapeError, MissingPlantError, NeurisoError,
@@ -72,15 +72,16 @@ class RecoveryVerdict:
 class ProgramLayout:
     """Which block of a build_program problem is which.
 
-    Block 0 is the pass-through when `skip`. Pattern j owns the next block,
-    or the (+, -) pair at 2j, 2j + 1 past the skip block when `paired`.
+    Block 0 is the pass-through when `skip`. Pattern j of `patterns` owns the
+    next block, or the (+, -) pair at 2j, 2j + 1 past the skip block when
+    `paired`.
     `whitening` is the compact SVD of X whose left basis stands in for X
     (reg_grelu_skip); `bases` holds the compact SVD of D_j X per pattern,
     whose left bases are the normalized programs' blocks.
     """
 
     x: np.ndarray
-    masks: list
+    patterns: PatternSet
     skip: bool
     paired: bool
     whitening: CompactSvd = None
@@ -121,8 +122,8 @@ def build_program(x, patterns, y, program, beta=0.0):
         raise InvalidInputError("%s is an interpolation program; beta must be 0" % program)
     if beta < 0.0:
         raise InvalidInputError("beta must be nonnegative")
-    masks = mask_list(patterns)
-    layout = ProgramLayout(x=mat, masks=masks, skip="_skip" in program,
+    masks = patterns.masks
+    layout = ProgramLayout(x=mat, patterns=patterns, skip="_skip" in program,
                            paired=program.endswith("_cone"))
 
     def problem(blocks, cones=None, beta=0.0):
@@ -180,7 +181,7 @@ def _plant_targets(plant, layout):
                                         "pass-through block")
             b, vec = 0, r * w
         else:
-            j = find_mask(layout.masks, pattern_of(layout.x, w).mask)
+            j = layout.patterns.index(pattern_of(layout.x, w).mask)
             if j < 0:
                 raise MissingPlantError("planted pattern missing from the pattern set")
             scale = abs(r) if layout.paired else r
@@ -273,7 +274,7 @@ def reconstruct_network(sol, prob):
             flags.append(True)
             continue
         j, negative = layout.pattern(b)
-        mask = layout.masks[j]
+        mask = layout.patterns.masks[j]
         if normalized:
             svj = layout.bases[j]
             if sol.weights[b].shape != (svj.rank,):

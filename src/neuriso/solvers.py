@@ -26,15 +26,12 @@ ZERO_REL = 1e-6
 class SolverOptions:
     tol: float = 1e-8          # relative residual target
     max_iter: int = 200_000
-    rho_init: float = 1.0      # ADMM penalty start, rebalanced in flight
 
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
             raise InvalidInputError("solver tol must be positive and finite")
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise InvalidInputError("solver max_iter must be a positive integer")
-        if not 0.0 < self.rho_init < np.inf:
-            raise InvalidInputError("solver rho_init must be positive and finite")
 
 
 @dataclass
@@ -172,7 +169,7 @@ def _admm(blocks, y, cones, opts):
 
     z = np.zeros(total)
     u = np.zeros(total)
-    rho = opts.rho_init
+    rho = 1.0  # ADMM penalty start, rebalanced in flight
     it = 0
     pr_rel = dr_rel = np.inf
     stall_ref = np.inf

@@ -115,6 +115,8 @@ def solve_theta_star(tol=1e-10):
         raise InvalidInputError("bracket does not straddle the root")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # lo and hi are adjacent floats
+            break
         if theta_curve(mid) < 1.0:
             lo = mid
         else:

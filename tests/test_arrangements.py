@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from neuriso import arrangements as arr
-from neuriso.errors import InvalidInputError, SchemaError, SizeLimitError
+from neuriso.errors import (InvalidInputError, MissingPlantError, SchemaError,
+                            SizeLimitError)
 
 
 def spread_3x2():
@@ -157,6 +158,41 @@ def test_ordering_is_lexicographic():
     ps = arr.enumerate_exact(spread_3x2())
     keys = [tuple(int(b) for b in p.mask) for p in ps.patterns]
     assert keys == sorted(keys)
+
+
+def test_pattern_set_sorts_and_indexes():
+    masks = [(1, 0, 1), (0, 1, 1), (1, 1, 0), (0, 0, 1)]
+    ps = arr.PatternSet(
+        patterns=[arr.ArrangementPattern(mask=np.array(m, dtype=np.uint8),
+                                         witness=np.zeros(2)) for m in masks],
+        contains_all_ones=False, sampled=True)
+    assert [tuple(p.mask) for p in ps.patterns] == sorted(masks)
+    assert ps.masks.shape == (4, 3) and ps.masks.dtype == np.uint8
+    for j, p in enumerate(ps.patterns):
+        assert np.array_equal(ps.masks[j], p.mask)
+        assert ps.index(p.mask) == j
+    assert ps.index(np.array([1, 1, 1], dtype=np.uint8)) == -1
+    assert ps.index(np.array([True, False, True])) == ps.index(np.array([1, 0, 1]))
+
+
+def test_with_plants_adds_only_missing_masks():
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    ps = arr.sample_patterns(x, 1, seed=0)
+    present = ps.patterns[0].witness
+    assert arr.with_plants(x, ps, [present, 2.0 * present]) is ps
+    absent = next(w for w in (np.array([1.0, 1.0]), np.array([-1.0, -1.0]))
+                  if ps.index(arr.pattern_of(x, w).mask) < 0)
+    grown = arr.with_plants(x, ps, [absent, 3.0 * absent])
+    assert len(grown.patterns) == len(ps.patterns) + 1
+    assert grown.index(arr.pattern_of(x, absent).mask) >= 0
+    keys = [p.mask.tolist() for p in grown.patterns]
+    assert keys == sorted(keys)
+    # an exact set that lacks a realizable plant cannot grow
+    exact = arr.enumerate_exact(x)
+    lacking = arr.PatternSet(patterns=exact.patterns[1:],
+                             contains_all_ones=exact.contains_all_ones, sampled=False)
+    with pytest.raises(MissingPlantError):
+        arr.with_plants(x, lacking, [exact.patterns[0].witness])
 
 
 def test_serialization_roundtrip():

@@ -4,11 +4,14 @@ artifacts, and rerun determinism."""
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import neuriso
 from neuriso import experiments as ex
 from neuriso.cli import dispatch
 
@@ -45,14 +48,17 @@ def test_usage_errors_exit_2(capsys):
                   ["threshold", "--n", "100", "--d", "3", "--sigma2", "inf"],
                   ["interval", "--eta", "inf", "--noise", "0.05"],
                   ["interval", "--eta", "1.0", "--noise", "nan"],
-                  ["interval", "--noise", "0.05"]):
+                  ["interval", "--noise", "0.05"],
+                  # negative curve sizes used to end in a numpy traceback
+                  ["curves", "--points", "-1"],
+                  ["curves", "--grid-points", "-2"]):
         assert dispatch(["theory"] + extra) == 2
     capsys.readouterr()
 
 
 def test_bad_solver_config_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
-    for line in ("tol = 0", "max_iter = 0", "rho_init = -1"):
+    for line in ("tol = 0", "max_iter = 0"):
         cfg_path.write_text("[grid]\nd_values = 3\nn_values = 6\ntrials = 1\n"
                             "[solver]\n%s\n" % line)
         assert dispatch(["phase", "--config", str(cfg_path)]) == 2, line
@@ -101,6 +107,20 @@ def test_theory_theta_star(capsys):
     pairs = kv(capsys)
     assert abs(float(pairs["theta_star"]) - 0.1307583538) < 1e-6
     assert abs(float(pairs["theta_star_inverse"]) - 7.647697) < 1e-3
+
+
+def test_theory_theta_star_below_float_spacing():
+    # a tolerance below the float spacing near theta* used to spin forever
+    # once the bisection bracket closed to two adjacent floats
+    code = ("from neuriso.cli import dispatch; "
+            "raise SystemExit(dispatch(['theory', 'theta-star', '--tol', '1e-300']))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(neuriso.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, env=env)
+    assert out.returncode == 0, out.stderr
+    pairs = dict(line.split("=", 1) for line in out.stdout.split())
+    assert abs(float(pairs["theta_star"]) - 0.1307583538) < 1e-6
 
 
 def test_theory_coefficients(capsys):

@@ -93,6 +93,16 @@ def test_solver_failure_recorded_not_raised():
         assert r.note != ""
 
 
+def test_cap_note_keeps_the_nic_note():
+    # d > n makes X^T X singular, so the linear NIC fails before the solve
+    # hits its one-iteration cap; the row must report both
+    cfg = mini_cfg(d_values=(6,), n_values=(4,), trials=1,
+                   solver=SolverOptions(max_iter=1))
+    (row,) = ex.run_grid(cfg)
+    assert row.note.startswith("nic failed: X^T X is singular")
+    assert "solver hit the iteration cap" in row.note
+
+
 def test_failed_cell_by_dead_plant():
     # a relu plant that never fires on the data is recorded, not raised
     cfg = mini_cfg(plant="relu", d_values=(2,), n_values=(3,), trials=1,

@@ -22,9 +22,10 @@ def test_compact_svd_rank_one():
 def test_compact_svd_respects_rank_tol():
     u, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(6, 2)))
     v, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(3, 2)))
-    a = 1.0 * np.outer(u[:, 0], v[:, 0]) + 1e-13 * np.outer(u[:, 1], v[:, 1])
-    assert numerics.compact_svd(a).rank == 1
-    assert numerics.compact_svd(a, rank_tol=1e-15).rank == 2
+    for second, rank in ((1e-13, 1), (1e-8, 2)):
+        # the cut sits at RANK_TOL = 1e-10 relative to the largest value
+        a = 1.0 * np.outer(u[:, 0], v[:, 0]) + second * np.outer(u[:, 1], v[:, 1])
+        assert numerics.compact_svd(a).rank == rank
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -12,15 +12,7 @@ from neuriso.errors import (InconsistentSolutionError, InvalidInputError,
 
 def sampled_with_plants(x, count, seed, plants):
     mat = x.mat if hasattr(x, "mat") else x
-    ps = arr.sample_patterns(mat, count, seed=seed)
-    pats = list(ps.patterns)
-    for w in plants:
-        pat = arr.pattern_of(mat, w)
-        if arr.find_mask(arr.mask_list(ps), pat.mask) < 0:
-            pats.append(pat)
-    pats.sort(key=lambda p: tuple(p.mask))
-    return arr.PatternSet(patterns=pats, contains_all_ones=ps.contains_all_ones,
-                          sampled=True)
+    return arr.with_plants(mat, arr.sample_patterns(mat, count, seed=seed), plants)
 
 
 def manual_solution(blocks, weights):
@@ -46,8 +38,7 @@ def test_build_program_shapes():
     def assert_layout(prob, skip, paired):
         lay = prob.layout
         assert (lay.skip, lay.paired) == (skip, paired)
-        assert len(lay.masks) == p and np.array_equal(lay.x, x.mat)
-        assert all(np.array_equal(m, q.mask) for m, q in zip(lay.masks, ps.patterns))
+        assert lay.patterns is ps and np.array_equal(lay.x, x.mat)
         # every pattern block maps back to its own pattern and sign
         for j in range(p):
             for neg in ((False, True) if paired else (False,)):
@@ -116,7 +107,7 @@ def test_assess_spurious_block():
     x = ens.gen_matrix("gaussian", 24, 4, seed=5)
     w_star = ens.plant_direction(x, seed=6)
     ps = sampled_with_plants(x, 40, 7, [w_star])
-    i_star = arr.find_mask(arr.mask_list(ps), arr.pattern_of(x.mat, w_star).mask)
+    i_star = ps.index(arr.pattern_of(x.mat, w_star).mask)
     prob = rec.build_program(x, ps, np.maximum(x.mat @ w_star, 0), "grelu_skip")
     weights = [np.zeros(4) for _ in prob.blocks]
     weights[1 + i_star] = w_star.copy()
@@ -131,7 +122,7 @@ def test_assess_missing_plant_pattern():
     x = ens.gen_matrix("gaussian", 30, 4, seed=13)
     w_star = ens.plant_direction(x, seed=14)
     ps = arr.sample_patterns(x.mat, 60, seed=15)
-    assert arr.find_mask(arr.mask_list(ps), arr.pattern_of(x.mat, w_star).mask) < 0
+    assert ps.index(arr.pattern_of(x.mat, w_star).mask) < 0
     prob = rec.build_program(x, ps, np.maximum(x.mat @ w_star, 0), "grelu_skip")
     s = manual_solution(prob.blocks, [np.zeros(4) for _ in prob.blocks])
     with pytest.raises(MissingPlantError):
@@ -301,7 +292,7 @@ def test_reconstruct_negative_pair_neuron():
     x = ens.gen_matrix("gaussian", 24, 4, seed=19)
     w_star = ens.plant_direction(x, seed=20)
     ps = sampled_with_plants(x, 40, 21, [w_star])
-    i_star = arr.find_mask(arr.mask_list(ps), arr.pattern_of(x.mat, w_star).mask)
+    i_star = ps.index(arr.pattern_of(x.mat, w_star).mask)
     y = -np.maximum(x.mat @ w_star, 0.0)
     prob = rec.build_program(x, ps, y, "relu_skip_cone")
     weights = [np.zeros(4) for _ in prob.blocks]
@@ -317,7 +308,7 @@ def test_reconstruct_rejects_mask_violation():
     x = ens.gen_matrix("gaussian", 20, 4, seed=22)
     w_star = ens.plant_direction(x, seed=23)
     ps = sampled_with_plants(x, 30, 24, [w_star])
-    i_star = arr.find_mask(arr.mask_list(ps), arr.pattern_of(x.mat, w_star).mask)
+    i_star = ps.index(arr.pattern_of(x.mat, w_star).mask)
     other = (i_star + 1) % len(ps.patterns)
     prob = rec.build_program(x, ps, np.maximum(x.mat @ w_star, 0), "grelu_skip")
     weights = [np.zeros(4) for _ in prob.blocks]
