@@ -325,7 +325,7 @@ def _common():
     p.add_argument("--tol", type=float, default=None,
                    help="tolerance override (success threshold / root solve)")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads; 0 means one per cpu")
+                   help="worker threads; 0 or 1 (the default) runs serially")
     return p
 
 

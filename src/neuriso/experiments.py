@@ -52,7 +52,7 @@ class GridConfig:
     success_tol: float = 1e-4
     beta: float = 0.0  # penalty used by grid cells of the penalized program
     betas: tuple = ()  # penalty grid for run_beta_sweep
-    threads: int = 0  # 0 means one worker per cpu
+    threads: int = 0  # worker threads; 0 or 1 runs the cells serially
     wall_budget_s: float = 60.0
     solver: SolverOptions = None
     out: str = ""
@@ -237,10 +237,9 @@ def _run_cell(cfg, d, n, sigma, trial):
 
 
 def _map_jobs(cfg, worker, jobs):
-    workers = cfg.threads or os.cpu_count() or 1
-    if workers == 1 or len(jobs) == 1:
+    if cfg.threads <= 1 or len(jobs) == 1:
         return [worker(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         return list(pool.map(worker, jobs))
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs
 from scipy.optimize import nnls
 
 from .errors import InfeasibleError, InvalidInputError
@@ -104,21 +105,47 @@ def _check_problem(p):
     return blocks, y, cones
 
 
-def _slices(blocks):
-    out, start = [], 0
-    for b in blocks:
-        out.append(slice(start, start + b.shape[1]))
-        start += b.shape[1]
-    return out, start
+@dataclass
+class _Columns:
+    """Where each block sits in the concatenated vector, and its width groups."""
+
+    slices: list               # block j's columns
+    total: int                 # concatenated length
+    groups: list               # per distinct width w: (block ids, (k, w) column index)
 
 
-def _soft_blocks(v, slices, t):
+def _columns(widths):
+    slices, start, by_width = [], 0, {}
+    for j, w in enumerate(widths):
+        slices.append(slice(start, start + w))
+        by_width.setdefault(w, []).append(j)
+        start += w
+    groups = [(np.array(ids), np.array([slices[j].start for j in ids])[:, None] + np.arange(w))
+              for w, ids in by_width.items()]
+    return _Columns(slices, start, groups)
+
+
+def _row_norms(m):
+    # numpy sends each (1, w) @ (w, 1) product of the stack to the ddot that
+    # np.linalg.norm calls on a vector, so every norm keeps its bits
+    return np.sqrt(np.matmul(m[:, None, :], m[:, :, None]))[:, 0, 0]
+
+
+def _block_norms(v, cols):
+    out = np.empty(len(cols.slices))
+    for ids, idx in cols.groups:
+        out[ids] = _row_norms(v[idx])
+    return out
+
+
+def _soft_blocks(v, cols, t):
+    # blocks at or below the threshold stay +0.0
     out = np.zeros_like(v)
-    for s in slices:
-        seg = v[s]
-        nv = np.linalg.norm(seg)
-        if nv > t:
-            out[s] = (1.0 - t / nv) * seg
+    for _, idx in cols.groups:
+        seg = v[idx]
+        nv = _row_norms(seg)
+        keep = nv > t
+        out[idx[keep]] = (1.0 - t / nv[keep])[:, None] * seg[keep]
     return out
 
 
@@ -132,6 +159,15 @@ def _cone_gap(c, w):
     return float(np.max(np.maximum(-(c @ w), 0.0), initial=0.0))
 
 
+def _sum_sq(first, norms):
+    # first^2 plus each block's norm^2, added one block at a time from the
+    # left, so the sum is bit for bit that of a loop over the blocks
+    total = float(first**2)
+    for v in norms:
+        total += float(v**2)
+    return total
+
+
 def _admm(blocks, y, cones, opts):
     # Cone rows C_j w_j = s_j get slacks s_j >= 0 with scaled multipliers v_j.
     # The w-step minimizes ||w - (z - u)||^2 + sum_j ||C_j w_j - (s_j - v_j)||^2
@@ -139,7 +175,8 @@ def _admm(blocks, y, cones, opts):
     # Q^-1 (z - u + C^T (s - v)) and mu = (A Q^-1 A^T)^+ (A q - y), it is
     # w = q - Q^-1 A^T mu. With no cones Q = I and the compact SVD U S V^T
     # of A gives w = q - V (U^T t)/s and mu = U (U^T t)/s^2 directly.
-    sl, total = _slices(blocks)
+    cols = _columns([b.shape[1] for b in blocks])
+    sl = cols.slices
     a = np.hstack(blocks)
     sv = compact_svd(a)
     if np.linalg.norm(y - sv.u @ (sv.u.T @ y)) > 1e-6 * (1.0 + np.linalg.norm(y)):
@@ -147,17 +184,24 @@ def _admm(blocks, y, cones, opts):
     fac = [None if c is None else cho_factor(np.eye(b.shape[1]) + c.T @ c)
            for b, c in zip(blocks, cones)]
     coned = [(s, c, f) for s, c, f in zip(sl, cones, fac) if f is not None]
-    slack = [np.zeros(c.shape[0]) for _, c, _ in coned]
-    scaled = [np.zeros(c.shape[0]) for _, c, _ in coned]
+    # slacks and scaled multipliers of every cone row, stacked block by block
+    rows = _columns([c.shape[0] for _, c, _ in coned])
+    coned_cols = _columns([s.stop - s.start for s, _, _ in coned])
+    slack = np.zeros(rows.total)
+    scaled = np.zeros(rows.total)
 
     if coned:
         qinv_at = [b.T if f is None else cho_solve(f, b.T) for b, f in zip(blocks, fac)]
         msv = compact_svd(sum(b @ m for b, m in zip(blocks, qinv_at)))
+        # potrs on the factor is what cho_solve runs after its checks; a
+        # zero-width block has nothing to solve
+        wsteps = [(s, c, f, r) for (s, c, f), r in zip(coned, rows.slices)
+                  if s.stop > s.start]
 
         def project(z, u, dual=False):
             q = z - u
-            for (s, c, f), sk, vk in zip(coned, slack, scaled):
-                q[s] = cho_solve(f, q[s] + c.T @ (sk - vk))
+            for s, c, (fc, lower), r in wsteps:
+                q[s] = dpotrs(fc, q[s] + c.T @ (slack[r] - scaled[r]), lower=lower)[0]
             t = sum(b @ q[s] for b, s in zip(blocks, sl)) - y
             mu = msv.u @ ((msv.u.T @ t) / msv.s)
             return mu if dual else q - np.concatenate([m @ mu for m in qinv_at])
@@ -167,8 +211,8 @@ def _admm(blocks, y, cones, opts):
             ut = sv.u.T @ (a @ v - y)
             return sv.u @ (ut / sv.s**2) if dual else v - sv.v @ (ut / sv.s)
 
-    z = np.zeros(total)
-    u = np.zeros(total)
+    z = np.zeros(cols.total)
+    u = np.zeros(cols.total)
     rho = 1.0  # ADMM penalty start, rebalanced in flight
     it = 0
     pr_rel = dr_rel = np.inf
@@ -176,20 +220,19 @@ def _admm(blocks, y, cones, opts):
     for it in range(1, opts.max_iter + 1):
         w = project(z, u)
         z_prev = z
-        z = _soft_blocks(w + u, sl, 1.0 / rho)
+        z = _soft_blocks(w + u, cols, 1.0 / rho)
         u = u + w - z
         pr, dr, du = (np.linalg.norm(v) for v in (w - z, z - z_prev, u))
         if coned:
-            pr2, dr2, du2 = (float(v**2) for v in (pr, dr, du))
-            for k, (s, c, _) in enumerate(coned):
-                cw = c @ w[s]
-                s_new = np.maximum(0.0, cw + scaled[k])
-                pr2 += float(np.linalg.norm(cw - s_new) ** 2)
-                dr2 += float(np.linalg.norm(c.T @ (s_new - slack[k])) ** 2)
-                scaled[k] = scaled[k] + cw - s_new
-                du2 += float(np.linalg.norm(scaled[k]) ** 2)
-                slack[k] = s_new
-            pr, dr, du = np.sqrt(pr2), np.sqrt(dr2), np.sqrt(du2)
+            cw = np.concatenate([c @ w[s] for s, c, _ in coned])
+            s_new = np.maximum(0.0, cw + scaled)
+            moved = np.concatenate([c.T @ (s_new[r] - slack[r])
+                                    for (_, c, _), r in zip(coned, rows.slices)])
+            scaled = scaled + cw - s_new
+            pr = np.sqrt(_sum_sq(pr, _block_norms(cw - s_new, rows)))
+            dr = np.sqrt(_sum_sq(dr, _block_norms(moved, coned_cols)))
+            du = np.sqrt(_sum_sq(du, _block_norms(scaled, rows)))
+            slack = s_new
         dr = rho * dr
         pr_rel = pr / max(1.0, np.linalg.norm(w), np.linalg.norm(z))
         dr_rel = dr / max(1.0, rho * du)
@@ -207,16 +250,16 @@ def _admm(blocks, y, cones, opts):
         if it % 50 == 0 and max(pr_rel, dr_rel) > 10 * opts.tol:
             if pr > 10 * dr and rho < 1e8:
                 rho *= 2.0
-                for v in [u] + scaled:
-                    v /= 2.0
+                u /= 2.0
+                scaled /= 2.0
             elif dr > 10 * pr and rho > 1e-8:
                 rho /= 2.0
-                for v in [u] + scaled:
-                    v *= 2.0
+                u *= 2.0
+                scaled *= 2.0
 
     lam = -rho * project(z, u, dual=True)
     weights = [z[s].copy() for s in sl]
-    norms = [float(np.linalg.norm(wj)) for wj in weights]
+    norms = _block_norms(z, cols).tolist()
     return BlockSolution(
         weights=weights, dual=lam, objective=float(sum(norms)),
         primal_residual=float(np.linalg.norm(a @ z - y) / max(1.0, np.linalg.norm(y))),
@@ -255,9 +298,9 @@ def _power_step(a):
         q = a.T @ (a @ v)
         nv = float(np.linalg.norm(q))
         if nv == 0.0:
-            v = np.arange(1.0, total + 1.0)
-            v /= np.linalg.norm(v)
-            continue
+            # the start lies in the null space of a (a @ 1 = 0): take the
+            # exact spectral norm, which a nonzero a has positive
+            return float(np.linalg.norm(a, 2)) ** 2 * (1.0 + 1e-3)
         if abs(nv - lam) < 1e-12 * max(1.0, nv):
             return nv * (1.0 + 1e-3)
         lam = nv
@@ -265,33 +308,58 @@ def _power_step(a):
     return lam * (1.0 + 1e-3)
 
 
-def _block_kkt(grads, weights, th, cones=None):
-    """Worst (stationarity, dual feasibility, cone) violations at weights w_j
-    given per-block gradients g_j = A_j^T lam and threshold th.
+def _block_kkt(g, w, cols, th, cones=None):
+    """Worst (stationarity, dual feasibility, cone) violations at weights w
+    given gradients g = A^T lam and threshold th, both concatenated by cols.
 
     An active block needs g_j + C_j^T mu = th w_j / ||w_j|| for some mu >= 0,
     an inactive one ||g_j + C_j^T mu|| <= th; a free block has mu = 0.
     """
-    norms = [float(np.linalg.norm(w)) for w in weights]
-    active = set(_active(norms))
-    stat = dual_f = cone_v = 0.0
-    for k, (g, w, c) in enumerate(zip(grads, weights, cones or [None] * len(grads))):
-        if k in active:
-            target = th * w / norms[k]
-            r = np.linalg.norm(g - target) if c is None else nnls(c.T, target - g)[1]
-            stat = max(stat, float(r))
-            if c is not None:
-                cone_v = max(cone_v, _cone_gap(c, w))
-        else:
-            r = np.linalg.norm(g) if c is None else nnls(c.T, -g)[1]
-            dual_f = max(dual_f, float(r) - th)
+    norms = _block_norms(w, cols)
+    active = _active(norms.tolist())
+    on = np.zeros(len(cols.slices), dtype=bool)
+    on[active] = True
+    resid = np.empty(len(cols.slices))
+    for ids, idx in cols.groups:
+        gs = g[idx]
+        act = on[ids]
+        gs[act] -= th * w[idx[act]] / norms[ids[act], None]
+        resid[ids] = _row_norms(gs)
+    cone_v = 0.0
+    for k, c in enumerate(cones or ()):
+        if c is not None:
+            s = cols.slices[k]
+            if on[k]:
+                resid[k] = nnls(c.T, th * w[s] / norms[k] - g[s])[1]
+                cone_v = max(cone_v, _cone_gap(c, w[s]))
+            else:
+                resid[k] = nnls(c.T, -g[s])[1]
+    resid = resid.tolist()
+    stat = max([0.0] + [resid[k] for k in active])
+    dual_f = max([0.0] + [r - th for r, a in zip(resid, on) if not a])
     return stat, dual_f, cone_v
 
 
-def _lasso_kkt(a, sl, w, y, beta):
+def _lasso_kkt(a, cols, w, y, beta):
     g = a.T @ (y - a @ w)
-    stat, dual_f, _ = _block_kkt([g[s] for s in sl], [w[s] for s in sl], beta)
+    stat, dual_f, _ = _block_kkt(g, w, cols, beta)
     return max(stat, dual_f)
+
+
+def _lasso_objective(a, cols, w, y, beta):
+    r = a @ w - y
+    return 0.5 * float(r @ r) + beta * sum(_block_norms(w, cols).tolist())
+
+
+def _lasso_solution(a, cols, w, y, beta, it, converged):
+    norms = _block_norms(w, cols).tolist()
+    return BlockSolution(
+        weights=[w[s].copy() for s in cols.slices], dual=y - a @ w,
+        objective=float(_lasso_objective(a, cols, w, y, beta)),
+        primal_residual=0.0,
+        dual_residual=float(_lasso_kkt(a, cols, w, y, beta)),
+        cone_violation=0.0, iterations=it,
+        active_blocks=_active(norms), converged=converged)
 
 
 def solve_group_lasso(p, opts=None):
@@ -300,7 +368,8 @@ def solve_group_lasso(p, opts=None):
     Step size comes from a power-method estimate of ||A||^2; momentum is
     restarted whenever the objective rises. Stops once the objective has
     plateaued over a 50-iteration window and the stationarity residual is
-    below 1e-8 (relative to beta when beta > 1). Requires beta > 0 — the
+    below 1e-8 (relative to beta when beta > 1). A zero operator returns
+    w = 0, its exact optimum, without iterating. Requires beta > 0 — the
     beta = 0 limit is `solve_group_min_norm`.
     """
     opts = opts or SolverOptions()
@@ -309,50 +378,40 @@ def solve_group_lasso(p, opts=None):
         raise InvalidInputError("penalized solve requires beta > 0")
     if cones is not None:
         raise InvalidInputError("use solve_cone_constrained for cone problems")
-    sl, total = _slices(blocks)
+    cols = _columns([b.shape[1] for b in blocks])
     a = np.hstack(blocks)
     beta = float(p.beta)
+    w = np.zeros(cols.total)
+    if not a.any():
+        # every gradient A_j^T r is zero, inside the beta ball
+        return _lasso_solution(a, cols, w, y, beta, 0, True)
     step = 1.0 / _power_step(a)
 
-    def objective(vec):
-        r = a @ vec - y
-        return 0.5 * float(r @ r) + beta * sum(np.linalg.norm(vec[s]) for s in sl)
-
-    w = np.zeros(total)
     v = w
     tk = 1.0
-    prev_check = objective(w)
+    prev_check = _lasso_objective(a, cols, w, y, beta)
     kkt_goal = 1e-8 * max(1.0, beta)
     it = 0
     converged = False
     for it in range(1, opts.max_iter + 1):
         g = a.T @ (a @ v - y)
-        w_new = _soft_blocks(v - step * g, sl, step * beta)
+        w_new = _soft_blocks(v - step * g, cols, step * beta)
         tk_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         v = w_new + ((tk - 1.0) / tk_new) * (w_new - w)
         tk = tk_new
         w = w_new
         if it % 50 == 0:
-            cur = objective(w)
+            cur = _lasso_objective(a, cols, w, y, beta)
             if cur > prev_check:
                 tk = 1.0
                 v = w
-            kkt = _lasso_kkt(a, sl, w, y, beta)
+            kkt = _lasso_kkt(a, cols, w, y, beta)
             flat = prev_check - cur < 1e-12 * max(1.0, abs(prev_check))
             prev_check = cur
             if flat and kkt < kkt_goal:
                 converged = True
                 break
-
-    weights = [w[s].copy() for s in sl]
-    norms = [float(np.linalg.norm(wj)) for wj in weights]
-    resid = y - a @ w
-    return BlockSolution(
-        weights=weights, dual=resid, objective=float(objective(w)),
-        primal_residual=0.0,
-        dual_residual=float(_lasso_kkt(a, sl, w, y, beta)),
-        cone_violation=0.0, iterations=it,
-        active_blocks=_active(norms), converged=converged)
+    return _lasso_solution(a, cols, w, y, beta, it, converged)
 
 
 def solve_cone_constrained(p, opts=None):
@@ -422,9 +481,13 @@ def verify_kkt(p, s, tol=1e-8):
     weights = [np.asarray(w, dtype=float).ravel() for w in s.weights]
     if len(weights) != len(blocks):
         raise InvalidInputError("solution and problem block counts differ")
+    if any(w.size != b.shape[1] for w, b in zip(weights, blocks)):
+        raise InvalidInputError("solution block widths differ from the problem's")
     lam = np.asarray(s.dual, dtype=float).ravel()
     th = float(p.beta) if p.beta > 0 else 1.0
-    stat, dual_f, cone_v = _block_kkt([b.T @ lam for b in blocks], weights, th, cones)
+    stat, dual_f, cone_v = _block_kkt(
+        np.concatenate([b.T @ lam for b in blocks]), np.concatenate(weights),
+        _columns([b.shape[1] for b in blocks]), th, cones)
     if p.beta == 0.0:
         fit = sum(b @ w for b, w in zip(blocks, weights)) - y
         primal = float(np.linalg.norm(fit) / max(1.0, np.linalg.norm(y)))

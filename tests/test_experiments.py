@@ -34,29 +34,41 @@ def test_grid_rows_complete_and_sorted():
         assert isinstance(r.seed, int)
 
 
+def strip_wall(text):
+    out = []
+    for line in text.splitlines():
+        cells = line.split(",")
+        if cells and cells[0] != "d":
+            cells[10] = "-"
+        out.append(",".join(cells))
+    return "\n".join(out)
+
+
 def test_grid_determinism():
     cfg = mini_cfg(threads=2)
     a = ex.grid_to_csv(ex.run_grid(cfg))
     b = ex.grid_to_csv(ex.run_grid(cfg))
-
-    def strip_wall(text):
-        out = []
-        for line in text.splitlines():
-            cells = line.split(",")
-            if cells and cells[0] != "d":
-                cells[10] = "-"
-            out.append(",".join(cells))
-        return "\n".join(out)
-
     assert strip_wall(a) == strip_wall(b)
 
 
 def test_grid_thread_count_does_not_change_cells():
-    rows1 = ex.run_grid(mini_cfg(threads=1))
-    rows3 = ex.run_grid(mini_cfg(threads=3))
+    runs = {t: ex.run_grid(mini_cfg(threads=t)) for t in (0, 1, 3)}
+    rows1, rows3 = runs[1], runs[3]
     assert [(r.d, r.n, r.sigma, r.trial, r.seed) for r in rows1] == \
            [(r.d, r.n, r.sigma, r.trial, r.seed) for r in rows3]
     assert [r.success for r in rows1] == [r.success for r in rows3]
+    # serial and threaded executors write the same CSV apart from wall_ms
+    texts = {t: strip_wall(ex.grid_to_csv(rows)) for t, rows in runs.items()}
+    assert texts[0] == texts[1] == texts[3]
+
+
+def test_default_executor_is_serial(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the default executor started a thread pool")
+
+    monkeypatch.setattr(ex, "ThreadPoolExecutor", no_pool)
+    assert len(ex.run_grid(mini_cfg())) == 4
+    assert len(ex.run_beta_sweep(sweep_cfg())) == 3
 
 
 def test_csv_header_exact():

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neuriso import arrangements as arr
 from neuriso import ensembles as ens
@@ -126,6 +129,59 @@ def test_lasso_requires_positive_beta():
     a = np.eye(3)
     with pytest.raises(InvalidInputError):
         sol.solve_group_lasso(sol.GroupProblem(blocks=[a], target=np.ones(3), beta=0.0))
+
+
+def test_lasso_zero_operator_is_solved_at_zero():
+    # every gradient A_j^T r is 0 <= beta, so w = 0 is the exact optimum
+    for blocks in ([np.zeros((3, 2))], [np.zeros((3, 0))],
+                   [np.zeros((3, 2)), np.zeros((3, 0))]):
+        p = sol.GroupProblem(blocks=blocks, target=np.ones(3), beta=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = sol.solve_group_lasso(p)
+        assert s.converged and s.iterations == 0 and s.active_blocks == []
+        assert [w.shape for w in s.weights] == [(b.shape[1],) for b in blocks]
+        assert not any(w.any() for w in s.weights)
+        assert s.objective == 1.5
+        assert sol.verify_kkt(p, s).ok
+
+
+def test_lasso_step_when_the_power_start_is_in_the_null_space():
+    # A @ 1 = 0 (and A @ (1, 2, 3) = 0): the power method's all-ones start
+    # sees a zero operator although A is not zero
+    a = np.array([[1.0, -2.0, 1.0]])
+    p = sol.GroupProblem(blocks=[a], target=np.ones(1), beta=0.1)
+    s = sol.solve_group_lasso(p)
+    assert s.converged and s.active_blocks == [0]
+    assert sol.verify_kkt(p, s).ok
+
+
+@st.composite
+def block_vectors(draw):
+    widths = draw(st.lists(st.integers(0, 40), min_size=1, max_size=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    segs = [rng.standard_normal(w) * 10.0 ** rng.integers(-3, 4) for w in widths]
+    for seg in segs:
+        if draw(st.booleans()):
+            seg[:] = 0.0
+    return widths, np.concatenate(segs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_vectors(), st.floats(0.0, 50.0))
+def test_batched_block_kernels_equal_a_per_block_loop(blocks, t):
+    widths, v = blocks
+    norms, soft, start = [], np.zeros_like(v), 0
+    for w in widths:
+        seg = v[start:start + w]
+        nv = np.linalg.norm(seg)
+        norms.append(nv)
+        if nv > t:
+            soft[start:start + w] = (1.0 - t / nv) * seg
+        start += w
+    cols = sol._columns(widths)
+    assert sol._block_norms(v, cols).tobytes() == np.array(norms).tobytes()
+    assert sol._soft_blocks(v, cols, t).tobytes() == soft.tobytes()
 
 
 def test_lasso_kkt_at_optimum():
@@ -349,6 +405,10 @@ def test_verify_kkt_on_certificate_and_perturbation():
     weights[i_star] = w_star + 0.01
     rep = sol.verify_kkt(p, manual, tol=1e-8)
     assert rep.stationarity > 1e-3 or rep.primal > 1e-3
+    # a weight whose width differs from its block is rejected, not broadcast
+    weights[i_star] = w_star[:1]
+    with pytest.raises(InvalidInputError):
+        sol.verify_kkt(p, manual)
 
 
 def test_solver_kkt_regression_batch():
