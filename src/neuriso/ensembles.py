@@ -135,6 +135,8 @@ def gen_gmm(n1, n2, mu1, mu2, sigma, seed):
     mu1 = _finite(mu1, "mixture means")
     mu2 = _finite(mu2, "mixture means")
     _finite(sigma, "mixture sigma")
+    if n1 < 0 or n2 < 0:
+        raise InvalidInputError("mixture counts must be nonnegative")
     if not np.any(mu1 != 0.0) or not np.any(mu2 != 0.0):
         raise InvalidInputError("mixture means must be nonzero")
     if mu1.shape != mu2.shape:

@@ -12,7 +12,7 @@ import configparser
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -28,14 +28,8 @@ from .solvers import (SolverOptions, solve_cone_constrained,
                       solve_group_lasso, solve_group_min_norm)
 
 PLANTS = ("linear", "relu", "normalized_pair")
-METRICS = ("success", "abs_distance", "test_distance", "nic_rate")
 SKIP_PROGRAMS = ("grelu_skip", "relu_skip_cone", "reg_grelu_skip")
 NORMAL_PROGRAMS = ("grelu_normal", "relu_normal_cone")
-
-GRID_HEADER = ("d,n,sigma,trial,seed,success,abs_distance,test_distance,"
-               "nic_max_lhs,solver_iterations,wall_ms,note")
-SWEEP_HEADER = ("d,n,sigma,beta,trial,seed,success,active_blocks,"
-                "abs_distance,wall_ms,note")
 
 
 @dataclass
@@ -50,7 +44,7 @@ class GridConfig:
     master_seed: int = 0
     pattern_count: int = 0  # 0 means max(n, 50)
     success_tol: float = 1e-4
-    beta: float = 0.0  # penalty used by grid cells of the penalized program
+    beta: float = 0.0  # grid-cell penalty; nonzero only for reg_grelu_skip
     betas: tuple = ()  # penalty grid for run_beta_sweep
     threads: int = 0  # worker threads; 0 or 1 runs the cells serially
     wall_budget_s: float = 60.0
@@ -72,22 +66,22 @@ class GridConfig:
             raise InvalidInputError("grid dimensions must be positive")
         if self.trials < 1:
             raise InvalidInputError("trials must be at least 1")
-        if self.master_seed < 0:
-            raise InvalidInputError("master_seed must be nonnegative")
-        if self.ensemble not in MATRIX_KINDS:
-            raise InvalidInputError("unknown ensemble %r" % (self.ensemble,))
-        if self.plant not in PLANTS:
-            raise InvalidInputError("unknown plant %r" % (self.plant,))
-        if self.program not in PROGRAMS:
-            raise InvalidInputError("unknown program %r" % (self.program,))
-        if self.sigmas[0] < 0.0 or (self.betas and self.betas[0] < 0.0) or self.beta < 0.0:
+        if min(self.master_seed, self.pattern_count, self.threads) < 0:
+            raise InvalidInputError("master_seed, pattern_count and threads "
+                                    "must be nonnegative")
+        for name, known in (("ensemble", MATRIX_KINDS), ("plant", PLANTS),
+                            ("program", PROGRAMS)):
+            if getattr(self, name) not in known:
+                raise InvalidInputError("unknown %s %r" % (name, getattr(self, name)))
+        levels = self.sigmas + self.betas + (self.beta,)
+        if not np.isfinite(levels + (self.success_tol,)).all():
+            raise InvalidInputError("noise levels, penalties and success_tol must be finite")
+        if min(levels) < 0.0:
             raise InvalidInputError("noise levels and penalties must be nonnegative")
-        if self.pattern_count < 0:
-            raise InvalidInputError("pattern_count must be nonnegative")
-        if self.success_tol <= 0.0 or self.wall_budget_s <= 0.0:
+        if self.beta != 0.0 and self.program != "reg_grelu_skip":
+            raise InvalidInputError("a nonzero beta needs the penalized program")
+        if not (self.success_tol > 0.0 and self.wall_budget_s > 0.0):
             raise InvalidInputError("success_tol and wall_budget_s must be positive")
-        if self.threads < 0:
-            raise InvalidInputError("threads must be nonnegative")
         if self.plant == "normalized_pair" and self.program not in NORMAL_PROGRAMS:
             raise InvalidInputError("a normalized plant needs a normalized program")
         if self.plant == "linear" and self.program not in SKIP_PROGRAMS:
@@ -110,6 +104,9 @@ class CellResult:
     solver_iterations: int
     wall_ms: float
     note: str = ""
+
+
+GRID_HEADER = ",".join(f.name for f in fields(CellResult))
 
 
 @dataclass
@@ -187,13 +184,19 @@ def _nic_report(cfg, inst):
     return nic_multi(inst.x, inst.model.neurons, inst.patterns, normalized=True)
 
 
-def solve_program(cfg, prob, beta):
-    """Solve an assembled program with the solver its family and beta call for."""
+def solve_program(cfg, inst, beta):
+    """Build cfg.program on a cell at penalty beta, solve it with the solver
+    its family and beta call for, and judge the solution against the plant.
+
+    Returns (prob, sol, verdict)."""
+    prob = build_program(inst.x, inst.patterns, inst.y, cfg.program, beta=beta)
     if cfg.program.endswith("_cone"):
-        return solve_cone_constrained(prob, cfg.solver)
-    if beta > 0.0:
-        return solve_group_lasso(prob, cfg.solver)
-    return solve_group_min_norm(prob, cfg.solver)
+        sol = solve_cone_constrained(prob, cfg.solver)
+    elif beta > 0.0:
+        sol = solve_group_lasso(prob, cfg.solver)
+    else:
+        sol = solve_group_min_norm(prob, cfg.solver)
+    return prob, sol, assess_recovery(sol, inst.model, prob, tol=cfg.success_tol)
 
 
 def _note_join(note, extra):
@@ -213,11 +216,8 @@ def _run_cell(cfg, d, n, sigma, trial):
         except NeurisoError as exc:
             # the certificate is diagnostic; its failure must not kill the cell
             row["note"] = _note_join(row["note"], "nic failed: %s" % exc)
-        beta = cfg.beta if cfg.program == "reg_grelu_skip" else 0.0
-        prob = build_program(inst.x, inst.patterns, inst.y, cfg.program, beta=beta)
-        sol = solve_program(cfg, prob, beta)
+        prob, sol, verdict = solve_program(cfg, inst, cfg.beta)
         row["solver_iterations"] = sol.iterations
-        verdict = assess_recovery(sol, inst.model, prob, tol=cfg.success_tol)
         row["abs_distance"] = verdict.abs_distance
         if sol.converged:
             row["success"] = int(verdict.success)
@@ -249,10 +249,10 @@ def run_grid(cfg):
     Writes cfg.out as CSV when set.  Failed cells are recorded, never raised."""
     jobs = [(d, n, s, t) for d in cfg.d_values for n in cfg.n_values
             for s in cfg.sigmas for t in range(cfg.trials)]
+    # jobs are listed in canonical order, and _map_jobs keeps it
     rows = _map_jobs(cfg, lambda job: _run_cell(cfg, *job), jobs)
-    rows.sort(key=lambda r: (r.d, r.n, r.sigma, r.trial))
     if cfg.out:
-        write_grid_csv(rows, cfg.out)
+        write_text(grid_to_csv(rows), cfg.out)
     return rows
 
 
@@ -263,9 +263,7 @@ def _run_sweep_point(cfg, d, n, sigma, beta, trial):
                  active_blocks=0, abs_distance=float("nan"), note="")
     try:
         inst = build_cell(cfg, d, n, sigma, trial)
-        prob = build_program(inst.x, inst.patterns, inst.y, cfg.program, beta=beta)
-        sol = solve_program(cfg, prob, beta)
-        verdict = assess_recovery(sol, inst.model, prob, tol=cfg.success_tol)
+        _, sol, verdict = solve_program(cfg, inst, beta)
         point["abs_distance"] = verdict.abs_distance
         point["active_blocks"] = len(sol.active_blocks)
         if sol.converged:
@@ -294,41 +292,37 @@ def run_beta_sweep(cfg):
     jobs = [(s, b, t) for s in cfg.sigmas for b in cfg.betas
             for t in range(cfg.trials)]
     pts = _map_jobs(cfg, lambda job: _run_sweep_point(cfg, d, n, *job), jobs)
-    pts.sort(key=lambda p: (p.sigma, p.beta, p.trial))
     if cfg.out:
-        write_sweep_csv(pts, cfg.out)
+        write_text(sweep_to_csv(pts), cfg.out)
     return pts
 
 
 # ------------------------------------------------------------------ CSV i/o
 
-def _fmt(v):
-    return repr(float(v))
+def _csv_field(f, value):
+    if f.name == "wall_ms":
+        return "%.3f" % value
+    if f.type is float:
+        return repr(float(value))
+    if f.type is str:
+        return value.replace(",", ";").replace("\n", " ")
+    return str(value)
 
 
-def _clean_note(note):
-    return note.replace(",", ";").replace("\n", " ")
+def _to_csv(records, cls):
+    cols = fields(cls)
+    lines = [",".join(f.name for f in cols)]
+    lines += [",".join(_csv_field(f, getattr(r, f.name)) for f in cols)
+              for r in records]
+    return "\n".join(lines) + "\n"
 
 
 def grid_to_csv(rows):
-    lines = [GRID_HEADER]
-    for r in rows:
-        lines.append(",".join([
-            str(r.d), str(r.n), _fmt(r.sigma), str(r.trial), str(r.seed),
-            str(r.success), _fmt(r.abs_distance), _fmt(r.test_distance),
-            _fmt(r.nic_max_lhs), str(r.solver_iterations),
-            "%.3f" % r.wall_ms, _clean_note(r.note)]))
-    return "\n".join(lines) + "\n"
+    return _to_csv(rows, CellResult)
 
 
 def sweep_to_csv(points):
-    lines = [SWEEP_HEADER]
-    for p in points:
-        lines.append(",".join([
-            str(p.d), str(p.n), _fmt(p.sigma), _fmt(p.beta), str(p.trial),
-            str(p.seed), str(p.success), str(p.active_blocks),
-            _fmt(p.abs_distance), "%.3f" % p.wall_ms, _clean_note(p.note)]))
-    return "\n".join(lines) + "\n"
+    return _to_csv(points, SweepPoint)
 
 
 def write_text(text, path):
@@ -340,19 +334,7 @@ def write_text(text, path):
         fh.write(text)
 
 
-def write_grid_csv(rows, path):
-    write_text(grid_to_csv(rows), path)
-
-
-def write_sweep_csv(points, path):
-    write_text(sweep_to_csv(points), path)
-
-
 # ------------------------------------------------------------------ plots
-
-_GRID_TYPES = (int, int, float, int, int, int, float, float, float, int,
-               float, str)
-
 
 def _validate_grid_csv(path):
     try:
@@ -362,31 +344,24 @@ def _validate_grid_csv(path):
         raise SchemaError("cannot read %s: %s" % (path, exc))
     if not lines or lines[0] != GRID_HEADER:
         raise SchemaError("line 1: expected the grid CSV header")
-    names = GRID_HEADER.split(",")
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(names):
+    cols = fields(CellResult)
+    data = [(i, line.split(",")) for i, line in enumerate(lines[1:], start=2)
+            if line.strip()]
+    if not data:
+        raise SchemaError("no data rows in %s" % path)
+    for i, parts in data:
+        if len(parts) != len(cols):
             raise SchemaError("line %d: expected %d fields, got %d"
-                              % (i, len(names), len(parts)))
+                              % (i, len(cols), len(parts)))
         row = {}
-        for name, typ, raw in zip(names, _GRID_TYPES, parts):
-            if typ is str:
-                row[name] = raw
-                continue
+        for f, raw in zip(cols, parts):
             try:
-                row[name] = typ(raw)
+                row[f.name] = f.type(raw)
             except ValueError:
                 raise SchemaError("line %d: field %r is not numeric: %r"
-                                  % (i, name, raw))
+                                  % (i, f.name, raw))
         if row["success"] not in (0, 1):
             raise SchemaError("line %d: success must be 0 or 1" % i)
-        rows.append(row)
-    if not rows:
-        raise SchemaError("no data rows in %s" % path)
-    return rows
 
 
 _VALUE_EXPRS = {
@@ -451,11 +426,11 @@ def emit_plots(csv_path):
     stem, _ = os.path.splitext(csv_path)
     name = os.path.basename(csv_path)
     out = []
-    for metric in METRICS:
+    for metric, value in _VALUE_EXPRS.items():
         script = _PLOT_TEMPLATE % {
             "metric": metric,
             "csv": name,
-            "value": _VALUE_EXPRS[metric],
+            "value": value,
             "png": "%s_%s.png" % (os.path.splitext(name)[0], metric),
         }
         path = "%s_plot_%s.py" % (stem, metric)
@@ -475,6 +450,8 @@ def fit_logistic_midpoint(ns, rates):
     rates = np.asarray(rates, dtype=float)
     if ns.shape != rates.shape or ns.ndim != 1 or ns.size < 2:
         raise InvalidInputError("need matching 1-d arrays with at least two points")
+    if not (np.isfinite(ns).all() and np.isfinite(rates).all()):
+        raise InvalidInputError("ns and rates must be finite")
     if np.any(rates < -1e-9) or np.any(rates > 1.0 + 1e-9):
         raise InvalidInputError("rates must lie in [0, 1]")
     lo, hi = float(ns.min()), float(ns.max())
@@ -496,49 +473,41 @@ def fit_logistic_midpoint(ns, rates):
 
 # ------------------------------------------------------------------ config
 
-_CONFIG_SCALARS = (("trials", int), ("master_seed", int),
-                   ("pattern_count", int), ("threads", int),
-                   ("success_tol", float), ("beta", float),
-                   ("wall_budget_s", float), ("ensemble", str),
-                   ("plant", str), ("program", str), ("out", str))
+def _section_kwargs(sec, cls):
+    """Keyword arguments for cls from the keys of sec named after its fields,
+    each parsed by its declared type; tuples split on commas and spaces, and
+    a required field that is absent reads as empty, so cls reports it."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.type not in (int, float, str, tuple):
+            continue  # a nested options record has its own section
+        if f.name in sec or f.default is MISSING:
+            raw = sec.get(f.name, "")
+            kwargs[f.name] = (tuple(raw.replace(",", " ").split())
+                              if f.type is tuple else f.type(raw))
+    return kwargs
 
 
 def load_config(path):
     """Parse a sectioned key = value file into a GridConfig.
 
-    Needs a [grid] section; an optional [solver] section overrides solver
-    options.  List values are comma- or space-separated."""
+    Needs a [grid] section, whose keys are GridConfig's fields; an optional
+    [solver] section sets SolverOptions' fields.  List values are comma- or
+    space-separated, and # or ; starts a comment."""
     if not os.path.exists(path):
         raise InvalidInputError("config file not found: %s" % path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read(path)
     except configparser.Error as exc:
         raise InvalidInputError("bad config file: %s" % exc)
     if "grid" not in parser:
         raise InvalidInputError("config file needs a [grid] section")
-    sec = parser["grid"]
-
-    def listed(key, conv, default):
-        raw = sec.get(key, "")
-        vals = raw.replace(",", " ").split()
-        return tuple(conv(v) for v in vals) if vals else default
-
     try:
-        kwargs = dict(d_values=listed("d_values", int, ()),
-                      n_values=listed("n_values", int, ()),
-                      sigmas=listed("sigmas", float, (0.0,)),
-                      betas=listed("betas", float, ()))
-        for key, conv in _CONFIG_SCALARS:
-            if key in sec:
-                kwargs[key] = conv(sec[key])
+        kwargs = _section_kwargs(parser["grid"], GridConfig)
         if "solver" in parser:
-            sol = parser["solver"]
-            opts = {}
-            for key, conv in (("tol", float), ("max_iter", int)):
-                if key in sol:
-                    opts[key] = conv(sol[key])
-            kwargs["solver"] = SolverOptions(**opts)
+            kwargs["solver"] = SolverOptions(
+                **_section_kwargs(parser["solver"], SolverOptions))
+        return GridConfig(**kwargs)
     except ValueError as exc:
         raise InvalidInputError("bad config value: %s" % exc)
-    return GridConfig(**kwargs)

@@ -43,6 +43,18 @@ def test_usage_errors_exit_2(capsys):
     for sep, sigma in (("nan", "1.0"), ("2.0", "inf"), ("nan", "inf")):
         assert dispatch(["gmm-check", "--n1", "5", "--n2", "5", "--d", "3",
                          "--separation", sep, "--sigma", sigma]) == 2
+    # a negative mixture count used to crash inside numpy
+    assert dispatch(["gmm-check", "--n1", "-1", "--n2", "3", "--d", "2",
+                     "--separation", "4"]) == 2
+    # a nan threshold used to score an exact cell as a silent failure, and a
+    # nan penalty used to run as a sweep point
+    assert dispatch(["phase", "--d", "3", "--n", "9", "--trials", "1",
+                     "--tol", "nan"]) == 2
+    assert dispatch(["beta-sweep", "--d", "3", "--n", "9", "--trials", "1",
+                     "--betas", "nan,0.1"]) == 2
+    # beta used to be ignored silently outside the penalized program
+    assert dispatch(["solve", "--program", "grelu_skip", "--beta", "0.5",
+                     "--n", "10", "--d", "3"]) == 2
     # non-finite theory inputs used to print nan or a made-up binding
     for extra in (["threshold", "--n", "100", "--d", "3", "--sigma2", "nan"],
                   ["threshold", "--n", "100", "--d", "3", "--sigma2", "inf"],
@@ -177,6 +189,21 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     for command in commands:
         assert dispatch(shlex.split(command)[1:]) == 0, command
     capsys.readouterr()
+
+
+def test_readme_config_example_runs(tmp_path, monkeypatch, capsys):
+    # the README's ini block, comments included, loads and runs one trial
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    path = tmp_path / "demo.cfg"
+    path.write_text(block)
+    cfg = ex.load_config(str(path))
+    assert (cfg.plant, cfg.program, cfg.trials) == ("linear", "grelu_skip", 5)
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(["phase", "--config", str(path), "--trials", "1"]) == 0
+    pairs = kv(capsys)
+    assert int(pairs["cells"]) == len(cfg.d_values) * len(cfg.n_values)
+    assert (tmp_path / cfg.out).exists()
 
 
 # ---------------------------------------------------------------- one-shot
@@ -336,7 +363,8 @@ def test_beta_sweep_command(tmp_path, capsys):
                      "--seed", "2", "--out", str(out)]) == 0
     capsys.readouterr()
     lines = out.read_text().splitlines()
-    assert lines[0] == ex.SWEEP_HEADER
+    assert lines[0] == ("d,n,sigma,beta,trial,seed,success,active_blocks,"
+                        "abs_distance,wall_ms,note")
     assert len(lines) == 1 + 3
 
 

@@ -162,6 +162,10 @@ def test_gmm_zero_means_rejected():
                  (np.ones(3), -np.ones(3), np.nan), (np.ones(3), -np.ones(3), np.inf)):
         with pytest.raises(InvalidInputError):
             ens.gen_gmm(2, 2, *args, seed=0)
+    # a negative count used to reach numpy as a negative dimension
+    for n1, n2 in ((-1, 3), (3, -1)):
+        with pytest.raises(InvalidInputError):
+            ens.gen_gmm(n1, n2, np.ones(3), -np.ones(3), sigma=1.0, seed=0)
 
 
 def test_gmm_success_bound_and_sweep():

@@ -135,6 +135,21 @@ def test_grid_config_validation():
         mini_cfg(plant="normalized_pair")  # needs a normalized program
     with pytest.raises(InvalidInputError):
         mini_cfg(sigmas=(-0.5,))
+    # non-finite levels and thresholds used to run, scoring exact cells as 0
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(success_tol=nan), dict(success_tol=inf),
+                dict(sigmas=(nan,)), dict(sigmas=(0.0, inf)),
+                dict(program="reg_grelu_skip", beta=nan),
+                dict(program="reg_grelu_skip", beta=inf),
+                dict(program="reg_grelu_skip", betas=(nan, 0.1)),
+                dict(program="reg_grelu_skip", betas=(inf,)),
+                dict(wall_budget_s=nan)):
+        with pytest.raises(InvalidInputError):
+            mini_cfg(**bad)
+    # beta applies only to the penalized program
+    with pytest.raises(InvalidInputError):
+        mini_cfg(beta=0.5)
+    assert mini_cfg(program="reg_grelu_skip", beta=0.5).beta == 0.5
 
 
 def test_normalized_pair_cell():
@@ -203,7 +218,7 @@ def test_sweep_csv_header():
 
 def test_emit_plots_scripts(tmp_path):
     csv_path = tmp_path / "grid.csv"
-    ex.write_grid_csv(ex.run_grid(mini_cfg()), str(csv_path))
+    ex.write_text(ex.grid_to_csv(ex.run_grid(mini_cfg())), str(csv_path))
     scripts = ex.emit_plots(str(csv_path))
     assert len(scripts) == 4
     header = ex.GRID_HEADER.split(",")
@@ -252,6 +267,14 @@ def test_fit_logistic_midpoint_step_data():
         ex.fit_logistic_midpoint(ns[:1], rates[:1])
 
 
+def test_fit_logistic_midpoint_rejects_nonfinite():
+    # a nan rate used to be fitted around (0.9725 here), a nan n to return nan
+    for ns, rates in (([1, 2, 3], [0, np.nan, 1]), ([1, np.nan, 3], [0, 0, 1]),
+                      ([1, 2, np.inf], [0, 0, 1])):
+        with pytest.raises(InvalidInputError):
+            ex.fit_logistic_midpoint(ns, rates)
+
+
 # ---------------------------------------------------------------- config files
 
 def test_config_roundtrip(tmp_path):
@@ -283,6 +306,24 @@ def test_config_roundtrip(tmp_path):
     assert os.path.exists(out)
     direct = ex.run_grid(mini_cfg(threads=2))
     assert [(r.seed, r.success) for r in rows] == [(r.seed, r.success) for r in direct]
+
+    # the remaining keys, comments of both kinds, and an ignored unknown key
+    path.write_text(
+        "[grid]\n"
+        "d_values = 4\n"
+        "n_values = 8\n"
+        "program = reg_grelu_skip  ; the penalized program\n"
+        "beta = 0.25  # grid-cell penalty\n"
+        "betas = 0.5 0.125\n"
+        "wall_budget_s = 7.5\n"
+        "bogus = 1\n"
+        "[solver]\n"
+        "tol = 1e-6\n"
+        "max_iter = 50\n")
+    cfg = ex.load_config(str(path))
+    assert (cfg.program, cfg.beta, cfg.betas, cfg.wall_budget_s) == \
+        ("reg_grelu_skip", 0.25, (0.125, 0.5), 7.5)
+    assert cfg.solver == SolverOptions(tol=1e-6, max_iter=50)
 
 
 def test_config_rejects_nonsense(tmp_path):

@@ -40,17 +40,24 @@ def _public_defs(path):
 
 
 def _references(path):
-    # names a file reads: bare names, attributes and imported aliases; a
-    # definition does not reference itself
+    # names a file reads: loaded names and attributes, and imported aliases;
+    # an assignment target is not a use, so a definition does not reference
+    # itself
     found = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             found.add(node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name)
     return found
+
+
+def test_an_assignment_is_not_a_use(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("UNUSED = 1\nREAD = 2\nobj.attr = READ\n")
+    assert _references(path) == {"READ", "obj"}
 
 
 def test_every_public_name_has_a_user_outside_the_tests():
