@@ -70,9 +70,9 @@ def _one_shot_config(args, plant, program, sigma=0.0):
     return GridConfig(d_values=(args.d,), n_values=(args.n,), trials=1,
                       ensemble=args.ensemble, plant=plant,
                       sigmas=(float(sigma),), program=program,
-                      master_seed=args.seed or 0,
+                      master_seed=0 if args.seed is None else args.seed,
                       pattern_count=getattr(args, "count", 0) or 0,
-                      success_tol=args.tol or 1e-4,
+                      success_tol=1e-4 if args.tol is None else args.tol,
                       beta=getattr(args, "beta", 0.0),
                       threads=args.threads or 0)
 

@@ -203,6 +203,14 @@ def _note_join(note, extra):
     return "%s; %s" % (note, extra) if note else extra
 
 
+def _stamp(cfg, t0, values, record):
+    # the wall time since t0, noted when over budget, and the finished record
+    values["wall_ms"] = (time.perf_counter() - t0) * 1e3
+    if values["wall_ms"] > cfg.wall_budget_s * 1e3:
+        values["note"] = _note_join(values["note"], "wall budget exceeded")
+    return record(**values)
+
+
 def _run_cell(cfg, d, n, sigma, trial):
     t0 = time.perf_counter()
     row = dict(d=d, n=n, sigma=sigma, trial=trial,
@@ -230,10 +238,7 @@ def _run_cell(cfg, d, n, sigma, trial):
             row["note"] = _note_join(row["note"], "test distance failed: %s" % exc)
     except NeurisoError as exc:
         row["note"] = "%s: %s" % (type(exc).__name__, exc)
-    row["wall_ms"] = (time.perf_counter() - t0) * 1e3
-    if row["wall_ms"] > cfg.wall_budget_s * 1e3:
-        row["note"] = _note_join(row["note"], "wall budget exceeded")
-    return CellResult(**row)
+    return _stamp(cfg, t0, row, CellResult)
 
 
 def _map_jobs(cfg, worker, jobs):
@@ -273,8 +278,7 @@ def _run_sweep_point(cfg, d, n, sigma, beta, trial):
             point["note"] = "solver hit the iteration cap"
     except NeurisoError as exc:
         point["note"] = "%s: %s" % (type(exc).__name__, exc)
-    point["wall_ms"] = (time.perf_counter() - t0) * 1e3
-    return SweepPoint(**point)
+    return _stamp(cfg, t0, point, SweepPoint)
 
 
 def run_beta_sweep(cfg):

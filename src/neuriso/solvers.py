@@ -107,21 +107,22 @@ def _check_problem(p):
 
 @dataclass
 class _Columns:
-    """Where each block sits in the concatenated vector, and its width groups."""
+    """Where each block sits in the concatenated vector, and its groups."""
 
     slices: list               # block j's columns
     total: int                 # concatenated length
-    groups: list               # per distinct width w: (block ids, (k, w) column index)
+    groups: list               # per distinct key: (block ids, (k, w) column index)
 
 
-def _columns(widths):
-    slices, start, by_width = [], 0, {}
-    for j, w in enumerate(widths):
-        slices.append(slice(start, start + w))
-        by_width.setdefault(w, []).append(j)
-        start += w
-    groups = [(np.array(ids), np.array([slices[j].start for j in ids])[:, None] + np.arange(w))
-              for w, ids in by_width.items()]
+def _columns(widths, keys=None):
+    # blocks of equal key share a group; keys (the widths by default) fix widths
+    slices, start, by_key = [], 0, {}
+    for j, k in enumerate(widths if keys is None else keys):
+        slices.append(slice(start, start + widths[j]))
+        by_key.setdefault(k, []).append(j)
+        start += widths[j]
+    groups = [(np.array(ids), np.array([slices[j].start for j in ids])[:, None]
+               + np.arange(widths[ids[0]])) for ids in by_key.values()]
     return _Columns(slices, start, groups)
 
 
@@ -181,30 +182,47 @@ def _admm(blocks, y, cones, opts):
     sv = compact_svd(a)
     if np.linalg.norm(y - sv.u @ (sv.u.T @ y)) > 1e-6 * (1.0 + np.linalg.norm(y)):
         raise InfeasibleError("target is outside the span of the blocks")
-    fac = [None if c is None else cho_factor(np.eye(b.shape[1]) + c.T @ c)
-           for b, c in zip(blocks, cones)]
-    coned = [(s, c, f) for s, c, f in zip(sl, cones, fac) if f is not None]
+    # one factor per distinct cone array: the +/- copies of a pattern share theirs
+    distinct = {id(c): c for c in cones if c is not None}
+    fac = {k: cho_factor(np.eye(c.shape[1]) + c.T @ c) for k, c in distinct.items()}
+    coned = np.array([j for j, c in enumerate(cones) if c is not None], dtype=int)
     # slacks and scaled multipliers of every cone row, stacked block by block
-    rows = _columns([c.shape[0] for _, c, _ in coned])
-    coned_cols = _columns([s.stop - s.start for s, _, _ in coned])
+    rows = _columns([cones[j].shape[0] for j in coned], [cones[j].shape for j in coned])
     slack = np.zeros(rows.total)
     scaled = np.zeros(rows.total)
 
-    if coned:
-        qinv_at = [b.T if f is None else cho_solve(f, b.T) for b, f in zip(blocks, fac)]
+    if coned.size:
+        qinv_at = [b.T if c is None else cho_solve(fac[id(c)], b.T)
+                   for b, c in zip(blocks, cones)]
         msv = compact_svd(sum(b @ m for b, m in zip(blocks, qinv_at)))
-        # potrs on the factor is what cho_solve runs after its checks; a
-        # zero-width block has nothing to solve
-        wsteps = [(s, c, f, r) for (s, c, f), r in zip(coned, rows.slices)
-                  if s.stop > s.start]
+        # Blocks are stacked per width and cones per shape, indexed (k, w, 1).
+        # np.stack keeps a memory order its members share, as a program's do,
+        # so matmul gives each slice the gemv its member alone gets: same bits.
+        by_block = [(ids, np.stack([blocks[j] for j in ids]),
+                     np.stack([qinv_at[j] for j in ids]), idx[..., None])
+                    for ids, idx in cols.groups]
+        by_cone = [(ids, np.stack([cones[j] for j in coned[ids]]),
+                    np.stack([np.r_[sl[j]] for j in coned[ids]])[..., None], ridx[..., None])
+                   for ids, ridx in rows.groups]
+        # potrs on the factor is what cho_solve runs after its checks, here on
+        # the blocks sharing it as columns; zero-width blocks need no solve
+        solves = [fac[k] + (np.stack([np.r_[sl[j]] for j in coned if id(cones[j]) == k], 1),)
+                  for k, c in distinct.items() if c.shape[1]]
 
         def project(z, u, dual=False):
             q = z - u
-            for s, c, (fc, lower), r in wsteps:
-                q[s] = dpotrs(fc, q[s] + c.T @ (slack[r] - scaled[r]), lower=lower)[0]
-            t = sum(b @ q[s] for b, s in zip(blocks, sl)) - y
-            mu = msv.u @ ((msv.u.T @ t) / msv.s)
-            return mu if dual else q - np.concatenate([m @ mu for m in qinv_at])
+            for _, cs, idx, ridx in by_cone:
+                q[idx] += cs.swapaxes(1, 2) @ (slack[ridx] - scaled[ridx])
+            for fc, lower, idx in solves:
+                q[idx] = dpotrs(fc, q[idx], lower=lower)[0]
+            # block products added from +0.0 in block order, as sum() adds them
+            prods = np.zeros((len(blocks) + 1, y.size, 1))
+            for ids, bs, _, idx in by_block:
+                prods[ids + 1] = bs @ q[idx]
+            mu = msv.u @ ((msv.u.T @ (np.cumsum(prods, axis=0)[-1, :, 0] - y)) / msv.s)
+            for _, _, ms, idx in () if dual else by_block:
+                q[idx] -= ms @ mu[:, None]
+            return mu if dual else q
     else:
         def project(z, u, dual=False):
             v = z - u
@@ -223,14 +241,17 @@ def _admm(blocks, y, cones, opts):
         z = _soft_blocks(w + u, cols, 1.0 / rho)
         u = u + w - z
         pr, dr, du = (np.linalg.norm(v) for v in (w - z, z - z_prev, u))
-        if coned:
-            cw = np.concatenate([c @ w[s] for s, c, _ in coned])
+        if coned.size:
+            cw = np.empty(rows.total)
+            for _, cs, idx, ridx in by_cone:
+                cw[ridx] = cs @ w[idx]
             s_new = np.maximum(0.0, cw + scaled)
-            moved = np.concatenate([c.T @ (s_new[r] - slack[r])
-                                    for (_, c, _), r in zip(coned, rows.slices)])
+            moved = np.empty(coned.size)
+            for ids, cs, _, ridx in by_cone:
+                moved[ids] = _row_norms((cs.swapaxes(1, 2) @ (s_new - slack)[ridx])[..., 0])
             scaled = scaled + cw - s_new
             pr = np.sqrt(_sum_sq(pr, _block_norms(cw - s_new, rows)))
-            dr = np.sqrt(_sum_sq(dr, _block_norms(moved, coned_cols)))
+            dr = np.sqrt(_sum_sq(dr, moved))
             du = np.sqrt(_sum_sq(du, _block_norms(scaled, rows)))
             slack = s_new
         dr = rho * dr
@@ -238,7 +259,7 @@ def _admm(blocks, y, cones, opts):
         dr_rel = dr / max(1.0, rho * du)
         if max(pr_rel, dr_rel) < opts.tol:
             break
-        if coned and it % 1000 == 0:
+        if coned.size and it % 1000 == 0:
             # a frozen primal residual with a settled dual means the
             # equality and cone constraints cannot be met jointly
             if (pr_rel > 1e-6 and dr_rel < opts.tol
@@ -264,7 +285,7 @@ def _admm(blocks, y, cones, opts):
         weights=weights, dual=lam, objective=float(sum(norms)),
         primal_residual=float(np.linalg.norm(a @ z - y) / max(1.0, np.linalg.norm(y))),
         dual_residual=float(dr_rel),
-        cone_violation=max((_cone_gap(c, z[s]) for s, c, _ in coned), default=0.0),
+        cone_violation=max((_cone_gap(cones[j], z[sl[j]]) for j in coned), default=0.0),
         iterations=it, active_blocks=_active(norms),
         converged=bool(max(pr_rel, dr_rel) < opts.tol))
 
@@ -421,10 +442,10 @@ def solve_cone_constrained(p, opts=None):
     block; with every entry None this is `solve_group_min_norm` bit for bit.
     Cone rows get nonnegative slacks, so the w-step projects onto the
     equality set in the metric Q_j = I + C_j^T C_j: one Cholesky factor per
-    coned block, and the multiplier from a compact SVD of the n x n system
-    sum_j A_j Q_j^-1 A_j^T built up front. Cones that cannot meet the
-    target stall the constraint residual, which raises InfeasibleError.
-    beta must be 0.
+    distinct cone array (a program's +/- copies share one), and the
+    multiplier from a compact SVD of the n x n sum_j A_j Q_j^-1 A_j^T built
+    up front. Cones that cannot meet the target stall the constraint
+    residual, which raises InfeasibleError. beta must be 0.
     """
     blocks, y, cones = _check_problem(p)
     if p.beta != 0.0:

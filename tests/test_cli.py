@@ -55,6 +55,8 @@ def test_usage_errors_exit_2(capsys):
     # beta used to be ignored silently outside the penalized program
     assert dispatch(["solve", "--program", "grelu_skip", "--beta", "0.5",
                      "--n", "10", "--d", "3"]) == 2
+    # a zero threshold used to fall back to the 1e-4 default in one-shot commands
+    assert dispatch(["solve", "--n", "10", "--d", "3", "--tol", "0"]) == 2
     # non-finite theory inputs used to print nan or a made-up binding
     for extra in (["threshold", "--n", "100", "--d", "3", "--sigma2", "nan"],
                   ["threshold", "--n", "100", "--d", "3", "--sigma2", "inf"],

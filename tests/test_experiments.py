@@ -201,6 +201,15 @@ def test_beta_sweep_zero_matches_min_norm():
     assert int(sol.active_blocks == [0]) == pt.success
 
 
+def test_wall_budget_is_noted_on_cells_and_sweep_points():
+    cells = ex.run_grid(mini_cfg(n_values=(8,), trials=1, wall_budget_s=1e-9))
+    # sweep points used to ignore the budget and leave their notes empty
+    pts = ex.run_beta_sweep(sweep_cfg(betas=(0.0, 0.02), wall_budget_s=1e-9))
+    for rec in cells + pts:
+        assert rec.note.endswith("wall budget exceeded"), rec
+    assert all(p.note == "" for p in ex.run_beta_sweep(sweep_cfg(betas=(0.0,))))
+
+
 def test_beta_sweep_requires_penalized_program():
     with pytest.raises(InvalidInputError):
         ex.run_beta_sweep(sweep_cfg(program="grelu_skip"))

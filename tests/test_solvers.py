@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -303,27 +304,55 @@ def test_cone_solver_skip_recovery():
     assert np.linalg.norm(s.weights[0] - w_star) < 1e-5 * np.linalg.norm(w_star)
 
 
-def test_cone_solves_pass_kkt_with_their_multiplier():
-    # the equality multiplier of a converged cone solve, with per-block cone
-    # multipliers recovered by verify_kkt, satisfies the optimality system
+def cone_programs():
     x = ens.gen_matrix("gaussian", 40, 8, seed=16)
     w_star = ens.plant_direction(x, seed=17)
     ps = arr.sample_patterns(x.mat, 60, seed=18)
     cases = [("relu_skip_cone", ps, x.mat @ w_star),
              ("relu_normal_cone", arr.with_plants(x.mat, ps, [w_star]),
               np.maximum(x.mat @ w_star, 0.0))]
-    probs = [(program, rec.build_program(x, pats, y, program))
-             for program, pats, y in cases]
+    return [(program, rec.build_program(x, pats, y, program))
+            for program, pats, y in cases]
+
+
+def test_cone_solves_pass_kkt_with_their_multiplier():
+    # the equality multiplier of a converged cone solve, with per-block cone
+    # multipliers recovered by verify_kkt, satisfies the optimality system
+    probs = cone_programs()
     # a hand-built cone need not have one row per observation
     rng = np.random.default_rng(19)
     a = rng.standard_normal((6, 3))
     probs.append(("one-row cone", sol.GroupProblem(
         blocks=[a], target=a @ np.array([1.0, -2.0, 0.5]), cones=[np.eye(3)[:1]])))
+    # cones of several shapes, a free block between coned blocks and a
+    # zero-width coned block, with the target inside every cone
+    x = rng.standard_normal((12, 3))
+    w = np.array([0.5, -1.0, 2.0])
+    d = (x @ w >= 0).astype(float)
+    blocks = [x, np.zeros((12, 0)), rng.standard_normal((12, 2)), d[:, None] * x]
+    cones = [np.eye(3)[:1], np.zeros((2, 0)), None, (2 * d - 1)[:, None] * x]
+    probs.append(("mixed cones", sol.GroupProblem(
+        blocks=blocks, target=x @ np.abs(w) + blocks[2] @ [1.0, 1.0] + blocks[3] @ w,
+        cones=cones)))
     for name, prob in probs:
         s = sol.solve_cone_constrained(prob)
         assert s.converged, name
         rep = sol.verify_kkt(prob, s, tol=1e-6)
         assert rep.ok, (name, rep)
+
+
+def test_shared_cone_factor_keeps_every_bit():
+    # the +/- copies of a program share one cone array, so one factor and one
+    # two-column solve; copying every cone gives each block its own factor
+    for name, prob in cone_programs():
+        coned = [c for c in prob.cones if c is not None]
+        assert len({id(c) for c in coned}) == len(coned) // 2, name
+        own = dataclasses.replace(
+            prob, cones=[None if c is None else c.copy() for c in prob.cones])
+        shared, single = sol.solve_cone_constrained(prob), sol.solve_cone_constrained(own)
+        assert shared.iterations == single.iterations, name
+        assert all(np.array_equal(a, b) for a, b in zip(shared.weights, single.weights))
+        assert np.array_equal(shared.dual, single.dual), name
 
 
 def test_certificate_defining_equation_and_nic_equivalence():
