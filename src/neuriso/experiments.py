@@ -24,8 +24,8 @@ from .errors import InvalidInputError, NeurisoError, SchemaError
 from .isometry import nic_linear, nic_multi, nic_relu_single, nnic_single
 from .numerics import unit
 from .recovery import PROGRAMS, assess_recovery, build_program, test_distance
-from .solvers import (SolverOptions, solve_cone_constrained,
-                      solve_group_lasso, solve_group_min_norm)
+from .solvers import (SolverOptions, solve_cone_constrained, solve_group_lasso,
+                      solve_group_min_norm, solve_lasso_path)
 
 PLANTS = ("linear", "relu", "normalized_pair")
 SKIP_PROGRAMS = ("grelu_skip", "relu_skip_cone", "reg_grelu_skip")
@@ -203,10 +203,10 @@ def _note_join(note, extra):
     return "%s; %s" % (note, extra) if note else extra
 
 
-def _stamp(cfg, t0, values, record):
-    # the wall time since t0, noted when over budget, and the finished record
-    values["wall_ms"] = (time.perf_counter() - t0) * 1e3
-    if values["wall_ms"] > cfg.wall_budget_s * 1e3:
+def _stamp(cfg, wall_ms, values, record):
+    # the wall time, noted when over budget, and the finished record
+    values["wall_ms"] = wall_ms
+    if wall_ms > cfg.wall_budget_s * 1e3:
         values["note"] = _note_join(values["note"], "wall budget exceeded")
     return record(**values)
 
@@ -238,7 +238,7 @@ def _run_cell(cfg, d, n, sigma, trial):
             row["note"] = _note_join(row["note"], "test distance failed: %s" % exc)
     except NeurisoError as exc:
         row["note"] = "%s: %s" % (type(exc).__name__, exc)
-    return _stamp(cfg, t0, row, CellResult)
+    return _stamp(cfg, (time.perf_counter() - t0) * 1e3, row, CellResult)
 
 
 def _map_jobs(cfg, worker, jobs):
@@ -261,14 +261,13 @@ def run_grid(cfg):
     return rows
 
 
-def _run_sweep_point(cfg, d, n, sigma, beta, trial):
+def _run_sweep_point(cfg, point, prob, lasso, model):
+    # one beta of a path (0: the min-norm endpoint), judged and timed in wall_ms
     t0 = time.perf_counter()
-    point = dict(d=d, n=n, sigma=sigma, beta=beta, trial=trial,
-                 seed=_cell_seed(cfg, d, n, sigma, trial), success=0,
-                 active_blocks=0, abs_distance=float("nan"), note="")
     try:
-        inst = build_cell(cfg, d, n, sigma, trial)
-        _, sol, verdict = solve_program(cfg, inst, beta)
+        sol = (next(lasso) if point["beta"] > 0.0
+               else solve_group_min_norm(prob, cfg.solver))
+        verdict = assess_recovery(sol, model, prob, tol=cfg.success_tol)
         point["abs_distance"] = verdict.abs_distance
         point["active_blocks"] = len(sol.active_blocks)
         if sol.converged:
@@ -278,14 +277,36 @@ def _run_sweep_point(cfg, d, n, sigma, beta, trial):
             point["note"] = "solver hit the iteration cap"
     except NeurisoError as exc:
         point["note"] = "%s: %s" % (type(exc).__name__, exc)
-    return _stamp(cfg, t0, point, SweepPoint)
+    point["wall_ms"] = (time.perf_counter() - t0) * 1e3
+
+
+def _run_sweep_path(cfg, d, n, sigma, trial):
+    # one instance, program and lasso set-up judged at every beta
+    t0 = time.perf_counter()
+    points = [dict(d=d, n=n, sigma=sigma, beta=b, trial=trial,
+                   seed=_cell_seed(cfg, d, n, sigma, trial), success=0,
+                   active_blocks=0, abs_distance=float("nan"), wall_ms=0.0, note="")
+              for b in cfg.betas]
+    try:
+        inst = build_cell(cfg, d, n, sigma, trial)
+        prob = build_program(inst.x, inst.patterns, inst.y, cfg.program)
+        lasso = solve_lasso_path(prob, [b for b in cfg.betas if b > 0.0], cfg.solver)
+        for point in points:
+            _run_sweep_point(cfg, point, prob, lasso, inst.model)
+    except NeurisoError as exc:  # no instance or set-up: every point notes why
+        points = [dict(p, note="%s: %s" % (type(exc).__name__, exc)) for p in points]
+    setup = (time.perf_counter() - t0) * 1e3 - sum(p["wall_ms"] for p in points)
+    return [_stamp(cfg, p["wall_ms"] + setup / len(points), p, SweepPoint)
+            for p in points]
 
 
 def run_beta_sweep(cfg):
     """Sweep the group-lasso penalty over cfg.betas on one (d, n) cell.
 
-    The same instance is re-solved at every beta; beta = 0 falls back to the
-    interpolation solver, so that endpoint matches the min-norm verdict."""
+    Each (sigma, trial) pair is one path: one instance, program and lasso set-up
+    judged at every beta (beta = 0 by the min-norm solver). A point's wall_ms is
+    its own solve plus an even share of its path's set-up; rows come in (sigma,
+    beta, trial) order."""
     if cfg.program != "reg_grelu_skip":
         raise InvalidInputError("beta sweeps need the penalized program")
     if not cfg.betas:
@@ -293,9 +314,9 @@ def run_beta_sweep(cfg):
     if len(cfg.d_values) != 1 or len(cfg.n_values) != 1:
         raise InvalidInputError("beta sweeps use a single (d, n) cell")
     d, n = cfg.d_values[0], cfg.n_values[0]
-    jobs = [(s, b, t) for s in cfg.sigmas for b in cfg.betas
-            for t in range(cfg.trials)]
-    pts = _map_jobs(cfg, lambda job: _run_sweep_point(cfg, d, n, *job), jobs)
+    jobs = [(s, t) for s in cfg.sigmas for t in range(cfg.trials)]
+    paths = _map_jobs(cfg, lambda job: _run_sweep_path(cfg, d, n, *job), jobs)
+    pts = sorted(sum(paths, []), key=lambda p: (p.sigma, p.beta, p.trial))
     if cfg.out:
         write_text(sweep_to_csv(pts), cfg.out)
     return pts

@@ -1,13 +1,15 @@
 """Group-l1 solvers over gated feature blocks.
 
-Three entry points share one problem type: exact interpolation
-(`solve_group_min_norm`), penalized regression (`solve_group_lasso`) and
-interpolation under per-block sign cones (`solve_cone_constrained`).
+Three kinds of solve share one problem type: exact interpolation
+(`solve_group_min_norm`), penalized regression along a penalty path
+(`solve_lasso_path`; `solve_group_lasso` at one beta) and interpolation
+under per-block sign cones (`solve_cone_constrained`).
 `build_certificate` reads off the least-norm dual of the matching isometry
 condition, which certifies when the planted blocks are the unique solution,
 and `verify_kkt` replays the optimality system on any candidate solution.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,13 +142,17 @@ def _block_norms(v, cols):
 
 
 def _soft_blocks(v, cols, t):
-    # blocks at or below the threshold stay +0.0
-    out = np.zeros_like(v)
+    # blocks above t scale by 1 - t/nv in a masked multiply, the rest stay +0.0
+    # (the floor keeps 0/0 out at t = 0); one width group works on (k, w) views
+    out, whole = np.zeros(cols.total), len(cols.groups) == 1
     for _, idx in cols.groups:
-        seg = v[idx]
+        seg = v.reshape(idx.shape) if whole else v[idx]
         nv = _row_norms(seg)
-        keep = nv > t
-        out[idx[keep]] = (1.0 - t / nv[keep])[:, None] * seg[keep]
+        dst = out.reshape(idx.shape) if whole else np.zeros(idx.shape)
+        np.multiply((1.0 - t / np.maximum(nv, t or 1.0))[:, None], seg,
+                    out=dst, where=(nv > t)[:, None])
+        if not whole:
+            out[idx] = dst
     return out
 
 
@@ -161,11 +167,11 @@ def _cone_gap(c, w):
 
 
 def _sum_sq(first, norms):
-    # first^2 plus each block's norm^2, added one block at a time from the
-    # left, so the sum is bit for bit that of a loop over the blocks
-    total = float(first**2)
-    for v in norms:
-        total += float(v**2)
+    # first^2 plus each norm^2 added from the left, as a loop over the blocks;
+    # Python floats square by np.float64's C pow but raise where it gives inf
+    total = 0.0
+    for v in [float(first)] + norms.tolist():
+        total += v**2 if v < 1e154 else float(np.float64(v)**2)
     return total
 
 
@@ -240,7 +246,8 @@ def _admm(blocks, y, cones, opts):
         z_prev = z
         z = _soft_blocks(w + u, cols, 1.0 / rho)
         u = u + w - z
-        pr, dr, du = (np.linalg.norm(v) for v in (w - z, z - z_prev, u))
+        # sqrt(v.dot(v)) is np.linalg.norm's own code for a vector
+        pr, dr, du = (math.sqrt(v.dot(v)) for v in (w - z, z - z_prev, u))
         if coned.size:
             cw = np.empty(rows.total)
             for _, cs, idx, ridx in by_cone:
@@ -255,7 +262,7 @@ def _admm(blocks, y, cones, opts):
             du = np.sqrt(_sum_sq(du, _block_norms(scaled, rows)))
             slack = s_new
         dr = rho * dr
-        pr_rel = pr / max(1.0, np.linalg.norm(w), np.linalg.norm(z))
+        pr_rel = pr / max(1.0, math.sqrt(w.dot(w)), math.sqrt(z.dot(z)))
         dr_rel = dr / max(1.0, rho * du)
         if max(pr_rel, dr_rel) < opts.tol:
             break
@@ -361,10 +368,8 @@ def _block_kkt(g, w, cols, th, cones=None):
     return stat, dual_f, cone_v
 
 
-def _lasso_kkt(a, cols, w, y, beta):
-    g = a.T @ (y - a @ w)
-    stat, dual_f, _ = _block_kkt(g, w, cols, beta)
-    return max(stat, dual_f)
+def _lasso_kkt(a, cols, w, y, beta):  # worse of stationarity, dual feasibility
+    return max(_block_kkt(a.T @ (y - a @ w), w, cols, beta)[:2])
 
 
 def _lasso_objective(a, cols, w, y, beta):
@@ -373,66 +378,65 @@ def _lasso_objective(a, cols, w, y, beta):
 
 
 def _lasso_solution(a, cols, w, y, beta, it, converged):
-    norms = _block_norms(w, cols).tolist()
     return BlockSolution(
         weights=[w[s].copy() for s in cols.slices], dual=y - a @ w,
-        objective=float(_lasso_objective(a, cols, w, y, beta)),
-        primal_residual=0.0,
-        dual_residual=float(_lasso_kkt(a, cols, w, y, beta)),
-        cone_violation=0.0, iterations=it,
-        active_blocks=_active(norms), converged=converged)
+        objective=float(_lasso_objective(a, cols, w, y, beta)), primal_residual=0.0,
+        dual_residual=float(_lasso_kkt(a, cols, w, y, beta)), cone_violation=0.0,
+        iterations=it, active_blocks=_active(_block_norms(w, cols).tolist()),
+        converged=converged)
 
 
-def solve_group_lasso(p, opts=None):
+def solve_lasso_path(p, betas, opts=None):
     """Accelerated proximal gradient for 0.5||Aw - y||^2 + beta sum ||w_j||.
 
-    Step size comes from a power-method estimate of ||A||^2; momentum is
-    restarted whenever the objective rises. Stops once the objective has
-    plateaued over a 50-iteration window and the stationarity residual is
-    below 1e-8 (relative to beta when beta > 1). A zero operator returns
-    w = 0, its exact optimum, without iterating. Requires beta > 0 — the
-    beta = 0 limit is `solve_group_min_norm`.
+    Checks p (whose own beta is unused), stacks its blocks and estimates ||A||^2
+    by power iteration for the step size once, then returns an iterator that
+    solves each of `betas` > 0 from w = 0 as it is drawn, restarting momentum
+    when the objective rises, until the objective plateaus over 50 iterations
+    with the stationarity residual below 1e-8 (times beta if beta > 1). A zero
+    operator gives w = 0, its exact optimum, at once. beta = 0 is min-norm.
     """
     opts = opts or SolverOptions()
     blocks, y, cones = _check_problem(p)
-    if p.beta <= 0.0:
+    betas = [float(b) for b in betas]
+    if not all(0.0 < b < np.inf for b in betas):
         raise InvalidInputError("penalized solve requires beta > 0")
     if cones is not None:
         raise InvalidInputError("use solve_cone_constrained for cone problems")
     cols = _columns([b.shape[1] for b in blocks])
     a = np.hstack(blocks)
-    beta = float(p.beta)
-    w = np.zeros(cols.total)
-    if not a.any():
-        # every gradient A_j^T r is zero, inside the beta ball
-        return _lasso_solution(a, cols, w, y, beta, 0, True)
-    step = 1.0 / _power_step(a)
+    step = 1.0 / _power_step(a) if betas and a.any() else None
 
-    v = w
-    tk = 1.0
-    prev_check = _lasso_objective(a, cols, w, y, beta)
-    kkt_goal = 1e-8 * max(1.0, beta)
-    it = 0
-    converged = False
-    for it in range(1, opts.max_iter + 1):
-        g = a.T @ (a @ v - y)
-        w_new = _soft_blocks(v - step * g, cols, step * beta)
-        tk_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-        v = w_new + ((tk - 1.0) / tk_new) * (w_new - w)
-        tk = tk_new
-        w = w_new
-        if it % 50 == 0:
-            cur = _lasso_objective(a, cols, w, y, beta)
-            if cur > prev_check:
-                tk = 1.0
-                v = w
-            kkt = _lasso_kkt(a, cols, w, y, beta)
-            flat = prev_check - cur < 1e-12 * max(1.0, abs(prev_check))
-            prev_check = cur
-            if flat and kkt < kkt_goal:
-                converged = True
-                break
-    return _lasso_solution(a, cols, w, y, beta, it, converged)
+    def solve(beta):
+        w = np.zeros(cols.total)
+        if step is None:  # every gradient A_j^T r is zero, inside the beta ball
+            return _lasso_solution(a, cols, w, y, beta, 0, True)
+        v, tk, it, converged = w, 1.0, 0, False
+        prev_check = _lasso_objective(a, cols, w, y, beta)
+        kkt_goal = 1e-8 * max(1.0, beta)
+        for it in range(1, opts.max_iter + 1):
+            g = a.T @ (a @ v - y)
+            w_new = _soft_blocks(v - step * g, cols, step * beta)
+            tk_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
+            v = w_new + ((tk - 1.0) / tk_new) * (w_new - w)
+            tk, w = tk_new, w_new
+            if it % 50 == 0:
+                cur = _lasso_objective(a, cols, w, y, beta)
+                if cur > prev_check:
+                    tk, v = 1.0, w
+                kkt = _lasso_kkt(a, cols, w, y, beta)
+                flat = prev_check - cur < 1e-12 * max(1.0, abs(prev_check))
+                prev_check = cur
+                if flat and kkt < kkt_goal:
+                    converged = True
+                    break
+        return _lasso_solution(a, cols, w, y, beta, it, converged)
+    return map(solve, betas)
+
+
+def solve_group_lasso(p, opts=None):
+    """`solve_lasso_path` of p at its own beta > 0."""
+    return next(solve_lasso_path(p, [p.beta], opts))
 
 
 def solve_cone_constrained(p, opts=None):

@@ -3,12 +3,13 @@ recording, the beta sweep, plot-script emission, and config parsing."""
 
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from neuriso import experiments as ex
-from neuriso.errors import InvalidInputError, SchemaError
+from neuriso.errors import InvalidInputError, MissingPlantError, SchemaError
 from neuriso.solvers import SolverOptions
 
 
@@ -199,6 +200,50 @@ def test_beta_sweep_zero_matches_min_norm():
     sol = solve_group_min_norm(prob)
     assert len(sol.active_blocks) == pt.active_blocks
     assert int(sol.active_blocks == [0]) == pt.success
+
+
+def per_point_sweep(cfg):
+    # the pipeline a sweep path replaced: a fresh cell and program per point
+    (d,), (n,) = cfg.d_values, cfg.n_values
+    rows = []
+    for sigma in cfg.sigmas:
+        for beta in cfg.betas:
+            for trial in range(cfg.trials):
+                inst = ex.build_cell(cfg, d, n, sigma, trial)
+                _, sol, verdict = ex.solve_program(cfg, inst, beta)
+                rows.append(dict(
+                    d=d, n=n, sigma=sigma, beta=beta, trial=trial, seed=inst.seed,
+                    success=int(sol.converged and sol.active_blocks == [0]),
+                    active_blocks=len(sol.active_blocks),
+                    abs_distance=verdict.abs_distance,
+                    note="" if sol.converged else "solver hit the iteration cap"))
+    return rows
+
+
+@pytest.mark.parametrize("threads", [0, 2])
+def test_beta_sweep_paths_equal_the_per_point_pipeline(threads):
+    cfg = sweep_cfg(sigmas=(0.0, 0.1), betas=(0.0, 0.02, 0.3), trials=2,
+                    threads=threads)
+    pts = ex.run_beta_sweep(cfg)
+    got = [{f.name: getattr(p, f.name) for f in fields(ex.SweepPoint)
+            if f.name != "wall_ms"} for p in pts]
+    assert got == per_point_sweep(cfg)
+    assert all(p.wall_ms > 0.0 for p in pts)
+
+
+def test_sweep_path_that_cannot_build_notes_every_point(monkeypatch):
+    def no_cell(*args):
+        raise MissingPlantError("no cell")
+
+    monkeypatch.setattr(ex, "build_cell", no_cell)
+    cfg = sweep_cfg(sigmas=(0.0, 0.1), betas=(0.0, 0.02, 0.3), trials=2)
+    pts = ex.run_beta_sweep(cfg)
+    assert [(p.sigma, p.beta, p.trial) for p in pts] == [
+        (s, b, t) for s in cfg.sigmas for b in cfg.betas for t in range(2)]
+    for p in pts:
+        assert p.note == "MissingPlantError: no cell"
+        assert (p.success, p.active_blocks) == (0, 0) and np.isnan(p.abs_distance)
+        assert p.seed == ex._cell_seed(cfg, 5, 20, p.sigma, p.trial)
 
 
 def test_wall_budget_is_noted_on_cells_and_sweep_points():

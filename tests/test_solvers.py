@@ -160,18 +160,27 @@ def test_lasso_step_when_the_power_start_is_in_the_null_space():
 @st.composite
 def block_vectors(draw):
     widths = draw(st.lists(st.integers(0, 40), min_size=1, max_size=10))
+    if draw(st.booleans()):
+        # one width for every block: the kernels' reshape-view path
+        widths = [widths[0]] * len(widths)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     segs = [rng.standard_normal(w) * 10.0 ** rng.integers(-3, 4) for w in widths]
     for seg in segs:
         if draw(st.booleans()):
             seg[:] = 0.0
+        elif draw(st.booleans()):
+            seg[rng.random(seg.size) < 0.5] = -0.0
     return widths, np.concatenate(segs)
 
 
 @settings(max_examples=150, deadline=None)
-@given(block_vectors(), st.floats(0.0, 50.0))
-def test_batched_block_kernels_equal_a_per_block_loop(blocks, t):
+@given(block_vectors(), st.floats(0.0, 50.0), st.none() | st.integers(0, 9))
+def test_batched_block_kernels_equal_a_per_block_loop(blocks, t, tie):
     widths, v = blocks
+    if tie is not None:
+        # t equal to a block's norm: that block is not kept
+        j = tie % len(widths)
+        t = float(np.linalg.norm(v[sum(widths[:j]):sum(widths[:j + 1])]))
     norms, soft, start = [], np.zeros_like(v), 0
     for w in widths:
         seg = v[start:start + w]
@@ -182,7 +191,54 @@ def test_batched_block_kernels_equal_a_per_block_loop(blocks, t):
         start += w
     cols = sol._columns(widths)
     assert sol._block_norms(v, cols).tobytes() == np.array(norms).tobytes()
-    assert sol._soft_blocks(v, cols, t).tobytes() == soft.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # t = 0 over a zero block divides nothing
+        assert sol._soft_blocks(v, cols, t).tobytes() == soft.tobytes()
+
+
+def float64_sum_sq(first, norms):
+    # the loop _sum_sq replaced: np.float64 squares added from the left
+    total = float(np.float64(first)**2)
+    for v in norms:
+        total += float(v**2)
+    return total
+
+
+# zero, subnormals, and magnitudes whose squares near the float range's ends
+# (squares past 1.34e154 overflow, which Python floats raise on)
+NORMS = (st.just(0.0) | st.floats(0.0, 2.2250738585072014e-308)
+         | st.floats(1e-160, 1e-140) | st.floats(1e140, 1e160) | st.floats(0.0, 1e3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(NORMS, st.lists(NORMS, max_size=30))
+def test_sum_sq_equals_the_float64_loop(first, norms):
+    norms = np.array(norms, dtype=float)
+    with np.errstate(over="ignore"):
+        got, want = sol._sum_sq(first, norms), float64_sum_sq(first, norms)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_lasso_path_equals_one_solve_per_beta():
+    rng = np.random.default_rng(21)
+    blocks = [rng.standard_normal((15, 3)) for _ in range(6)]
+    cases = [(blocks, (0.5, 0.05, 3.0, 0.5)),
+             ([np.zeros((15, 2)), np.zeros((15, 0))], (0.1, 2.0))]
+    for blocks, betas in cases:
+        p = sol.GroupProblem(blocks=blocks, target=rng.standard_normal(15))
+        path = list(sol.solve_lasso_path(p, betas))
+        assert len(path) == len(betas)
+        for beta, s in zip(betas, path):
+            one = sol.solve_group_lasso(dataclasses.replace(p, beta=beta))
+            assert s.iterations == one.iterations and s.converged == one.converged
+            assert np.array_equal(s.objective, one.objective)
+            assert np.array_equal(s.dual, one.dual)
+            assert all(np.array_equal(a, b) for a, b in zip(s.weights, one.weights))
+    assert list(sol.solve_lasso_path(p, ())) == []
+    for bad in ((0.1, 0.0), (np.nan,), (np.inf,)):
+        with pytest.raises(InvalidInputError):
+            sol.solve_lasso_path(p, bad)  # before any solve is drawn
 
 
 def test_lasso_kkt_at_optimum():
