@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (AccuracyError, InvalidInputError, MissingPlantError,
                      SchemaError, SizeLimitError)
+from .numerics import as_matrix, compact_svd
 
 MARGIN_EPS = 1e-9  # strict-realizability threshold on the unit-ball margin
 MAX_EXACT_N = 18  # row cap of exact enumeration
@@ -30,7 +31,8 @@ class PatternSet:
 
     The set owns the pattern order: it sorts its patterns on construction and
     stacks their masks as the (p, n) uint8 matrix `masks`, whose row j is
-    pattern j; `index(mask)` finds a mask's row in O(1).
+    pattern j; `index(mask)` finds a mask's row in O(1). `bases(x)` keeps
+    the normalized bases of the last data matrix it was asked for.
     """
 
     patterns: list  # ArrangementPattern
@@ -43,10 +45,26 @@ class PatternSet:
         self.masks = np.array([p.mask for p in self.patterns],
                               dtype=np.uint8).reshape(len(self.patterns), n)
         self._rows = {m.tobytes(): j for j, m in enumerate(self.masks)}
+        self._bases = (None, None)  # (data matrix key, CompactSvd per pattern)
 
     def index(self, mask):
         """Row of `mask` in `masks`, or -1 when the set lacks it."""
         return self._rows.get(np.asarray(mask, dtype=np.uint8).tobytes(), -1)
+
+    def bases(self, x):
+        """compact_svd(D_j X) for every pattern j, in pattern order.
+
+        Computed once per data matrix, keyed by its exact shape and bytes, and
+        shared by every reader, so the factors are read-only."""
+        mat = as_matrix(x)
+        key = (mat.shape, mat.tobytes())
+        if self._bases[0] != key:
+            out = [compact_svd(m[:, None] * mat) for m in self.masks]
+            for sv in out:
+                for a in (sv.u, sv.s, sv.v):
+                    a.setflags(write=False)
+            self._bases = (key, out)
+        return self._bases[1]
 
 
 def pattern_of(x, h):

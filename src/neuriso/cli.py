@@ -282,11 +282,14 @@ def cmd_gmm_check(args):
     d = args.d
     if d < 1:
         raise UsageError("--d must be positive")
+    seed = 0 if args.seed is None else args.seed
+    if seed < 0:
+        raise UsageError("--seed must be nonnegative")
     mu1 = np.zeros(d)
     mu1[0] = args.separation / 2.0
     mu2 = -mu1
     data, q = gen_gmm(args.n1, args.n2, mu1, mu2, args.sigma,
-                      seed=np.random.SeedSequence(args.seed or 0))
+                      seed=np.random.SeedSequence(seed))
     w = mu1 / np.linalg.norm(mu1) - mu2 / np.linalg.norm(mu2)
     mask = pattern_of(data.mat, w).mask
     _emit([("n1", args.n1), ("n2", args.n2), ("d", d),

@@ -30,15 +30,15 @@ class NicReport:
     lam: np.ndarray = None  # the multiplier behind lhs; None for SNIC_ORTH
 
 
-def _pattern_norms(mat, masks, lam, normalized):
-    """||A_j^T lam|| per mask: A_j = D_j X, or the left basis U_j of D_j X."""
+def _pattern_norms(mat, patterns, lam, normalized):
+    """||A_j^T lam|| per pattern: A_j = D_j X, or the left basis U_j of D_j X."""
     if normalized:
-        return [np.linalg.norm(compact_svd(m[:, None] * mat).u.T @ lam) for m in masks]
-    return np.linalg.norm((np.array(masks, dtype=float) * lam) @ mat, axis=1)
+        return [np.linalg.norm(sv.u.T @ lam) for sv in patterns.bases(mat)]
+    return np.linalg.norm((np.array(patterns.masks, dtype=float) * lam) @ mat, axis=1)
 
 
 def _assemble(kind, mat, patterns, lam, planted_idx, normalized=False):
-    lhs = [float(v) for v in _pattern_norms(mat, patterns.masks, lam, normalized)]
+    lhs = [float(v) for v in _pattern_norms(mat, patterns, lam, normalized)]
     skip = set(planted_idx)
     off = [v for i, v in enumerate(lhs) if i not in skip]
     mx = max(off) if off else 0.0
@@ -92,10 +92,10 @@ def nnic_single(x, w_star, patterns):
     mat = as_matrix(x)
     w = np.asarray(w_star, dtype=float)
     grown = with_plants(mat, patterns, [w])
-    pm = pattern_of(mat, w).mask
-    sv = compact_svd(pm[:, None] * mat)
+    j = grown.index(pattern_of(mat, w).mask)
+    sv = grown.bases(mat)[j]
     return _assemble("NNIC_1", mat, grown, sv.u @ normalized_target(sv, w),
-                     [grown.index(pm)], normalized=True)
+                     [j], normalized=True)
 
 
 def nic_multi(x, plant, patterns, normalized):
@@ -120,12 +120,9 @@ def nic_multi(x, plant, patterns, normalized):
     if len(set(pidx)) < len(pidx):
         raise InvalidInputError("planted masks must be pairwise distinct")
     if normalized:
-        blocks, target = [], []
-        for (w, r), pm in zip(plant, pmasks):
-            sv = compact_svd(pm[:, None] * mat)
-            blocks.append(sv.u.T)
-            target.append(r * normalized_target(sv, w))
-        lam = stacked_pinv_apply(blocks, np.concatenate(target))
+        svs = [grown.bases(mat)[j] for j in pidx]
+        target = [r * normalized_target(sv, w) for (w, r), sv in zip(plant, svs)]
+        lam = stacked_pinv_apply([sv.u.T for sv in svs], np.concatenate(target))
         return _assemble("NNIC_K", mat, grown, lam, pidx, normalized=True)
     blocks = [mat.T * pm.astype(float)[None, :] for pm in pmasks]
     lam = stacked_pinv_apply(blocks, np.concatenate([r * unit(w) for w, r in plant]))

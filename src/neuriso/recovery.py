@@ -76,8 +76,9 @@ class ProgramLayout:
     next block, or the (+, -) pair at 2j, 2j + 1 past the skip block when
     `paired`.
     `whitening` is the compact SVD of X whose left basis stands in for X
-    (reg_grelu_skip); `bases` holds the compact SVD of D_j X per pattern,
-    whose left bases are the normalized programs' blocks.
+    (reg_grelu_skip); `bases` is `patterns.bases(x)`, the pattern set's
+    shared, read-only compact SVD of D_j X per pattern, whose left bases are
+    the normalized programs' blocks. It is None for gated programs.
     """
 
     x: np.ndarray
@@ -143,7 +144,7 @@ def build_program(x, patterns, y, program, beta=0.0):
         return problem(blocks, cones)
 
     if program in ("grelu_normal", "relu_normal_cone"):
-        layout.bases = [compact_svd(m[:, None] * mat) for m in masks]
+        layout.bases = patterns.bases(mat)
         if program == "grelu_normal":
             return problem([sv.u for sv in layout.bases])
         blocks, cones = [], []

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neuriso import arrangements as arr
+from neuriso.numerics import compact_svd
 from neuriso.errors import (InvalidInputError, MissingPlantError, SchemaError,
                             SizeLimitError)
 
@@ -193,6 +195,46 @@ def test_with_plants_adds_only_missing_masks():
                              contains_all_ones=exact.contains_all_ones, sampled=False)
     with pytest.raises(MissingPlantError):
         arr.with_plants(x, lacking, [exact.patterns[0].witness])
+
+
+def assert_bases_equal(got, x, masks):
+    assert len(got) == len(masks)
+    for sv, m in zip(got, masks):
+        ref = compact_svd(m[:, None] * x)
+        assert sv.rank == ref.rank
+        for a, b in ((sv.u, ref.u), (sv.s, ref.s), (sv.v, ref.v)):
+            assert np.array_equal(a, b)
+
+
+def test_bases_follow_the_data_matrix():
+    rng = np.random.default_rng(4)
+    x1, x2 = rng.normal(size=(8, 3)), rng.normal(size=(8, 3))
+    ps = arr.sample_patterns(x1, 60, seed=5)
+    first = ps.bases(x1)
+    assert ps.bases(x1.copy()) is first  # kept for equal bytes
+    # same shape, other data: no stale bases
+    assert_bases_equal(ps.bases(x2), x2, ps.masks)
+    assert_bases_equal(ps.bases(x1), x1, ps.masks)
+    with pytest.raises(ValueError):
+        first[0].u[...] = 0.0  # shared factors are read-only
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 4), seed=st.integers(0, 2**16),
+       deficient=st.booleans())
+def test_bases_match_per_mask_svd(n, d, seed, deficient):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    if deficient:  # rank d - 1, or the zero matrix when d = 1
+        x[:, -1] = 2.0 * x[:, 0] if d > 1 else 0.0
+    ps = arr.sample_patterns(x, 30, seed=seed)
+    zero = np.zeros(n, dtype=np.uint8)  # rank 0 whatever x is
+    if ps.index(zero) < 0:
+        ps = arr.PatternSet(ps.patterns + [arr.ArrangementPattern(zero, np.ones(d))],
+                            contains_all_ones=ps.contains_all_ones, sampled=True)
+    got = ps.bases(x)
+    assert_bases_equal(got, x, ps.masks)
+    assert got[ps.index(zero)].rank == 0
 
 
 def test_serialization_roundtrip():

@@ -46,6 +46,9 @@ def test_usage_errors_exit_2(capsys):
     # a negative mixture count used to crash inside numpy
     assert dispatch(["gmm-check", "--n1", "-1", "--n2", "3", "--d", "2",
                      "--separation", "4"]) == 2
+    # a negative seed used to end in a SeedSequence traceback with exit 1
+    assert dispatch(["gmm-check", "--n1", "5", "--n2", "5", "--d", "3",
+                     "--separation", "2", "--seed", "-1"]) == 2
     # a nan threshold used to score an exact cell as a silent failure, and a
     # nan penalty used to run as a sweep point
     assert dispatch(["phase", "--d", "3", "--n", "9", "--trials", "1",

@@ -4,6 +4,9 @@ import pytest
 from neuriso import arrangements as arr
 from neuriso import ensembles as ens
 from neuriso import isometry as iso
+from neuriso import recovery as rec
+from neuriso import solvers as sol
+from neuriso.experiments import GridConfig, build_cell
 from neuriso.errors import DegenerateStackError, InvalidInputError, MissingPlantError
 from neuriso.numerics import compact_svd
 
@@ -298,3 +301,26 @@ def test_report_csv():
     assert kind == "SNIC_ORTH" and set(mask) <= {"0", "1"}
     float(lhs)
     assert holds in {"0", "1"}
+
+
+def test_normalized_readers_share_one_svd_per_pattern(monkeypatch):
+    # the NNIC checker, the normalized certificate and the grelu_normal
+    # program read one set of bases: one compact_svd per pattern in all
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return compact_svd(m)
+
+    for mod in (arr, iso, rec, sol):
+        monkeypatch.setattr(mod, "compact_svd", counted)
+    cfg = GridConfig(d_values=(4,), n_values=(20,), plant="relu", pattern_count=40)
+    inst = build_cell(cfg, 4, 20, 0.0, 0)
+    ps, w = inst.patterns, inst.model.neurons[0][0]
+    assert arr.with_plants(inst.x, ps, [w]) is ps  # the set holds the plant
+    rep = iso.nnic_single(inst.x, w, ps)
+    cert = sol.build_certificate(inst.x, ps, inst.model.neurons, "normalized")
+    prob = rec.build_program(inst.x, ps, inst.y, "grelu_normal")
+    assert len(calls) == len(ps.patterns)
+    assert prob.layout.bases is ps.bases(inst.x)
+    assert len(rep.per_pattern) == len(cert.block_norms) == len(prob.blocks)

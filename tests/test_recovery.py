@@ -56,6 +56,7 @@ def test_build_program_shapes():
     assert np.array_equal(c.blocks[2], -c.blocks[1])
     assert np.array_equal(c.cones[1], c.cones[2])
     assert_layout(c, skip=True, paired=True)
+    assert c.layout.bases is None
 
     gn = rec.build_program(x, ps, y, "grelu_normal")
     assert len(gn.blocks) == p
@@ -64,6 +65,10 @@ def test_build_program_shapes():
             assert np.linalg.norm(b.T @ b - np.eye(b.shape[1])) < 1e-9
     assert_layout(gn, skip=False, paired=False)
     assert all(sv.u is b for sv, b in zip(gn.layout.bases, gn.blocks))
+    assert gn.layout.bases is ps.bases(x)
+    # the blocks are the set's shared bases: writing to one must fail
+    with pytest.raises(ValueError):
+        gn.blocks[0][...] = 1.0
 
     cn = rec.build_program(x, ps, y, "relu_normal_cone")
     assert len(cn.blocks) == 2 * p and all(c is not None for c in cn.cones)
