@@ -441,3 +441,7 @@ def dispatch(argv):
 
 def main():
     raise SystemExit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

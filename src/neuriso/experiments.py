@@ -261,12 +261,12 @@ def run_grid(cfg):
     return rows
 
 
-def _run_sweep_point(cfg, point, prob, lasso, model):
-    # one beta of a path (0: the min-norm endpoint), judged and timed in wall_ms
-    t0 = time.perf_counter()
+def _run_sweep_point(cfg, point, prob, sol, model):
+    # one beta of a path judged against the plant, given its lasso solution;
+    # None stands for beta = 0, the min-norm endpoint, solved here
     try:
-        sol = (next(lasso) if point["beta"] > 0.0
-               else solve_group_min_norm(prob, cfg.solver))
+        if sol is None:
+            sol = solve_group_min_norm(prob, cfg.solver)
         verdict = assess_recovery(sol, model, prob, tol=cfg.success_tol)
         point["abs_distance"] = verdict.abs_distance
         point["active_blocks"] = len(sol.active_blocks)
@@ -277,36 +277,36 @@ def _run_sweep_point(cfg, point, prob, lasso, model):
             point["note"] = "solver hit the iteration cap"
     except NeurisoError as exc:
         point["note"] = "%s: %s" % (type(exc).__name__, exc)
-    point["wall_ms"] = (time.perf_counter() - t0) * 1e3
 
 
 def _run_sweep_path(cfg, d, n, sigma, trial):
-    # one instance, program and lasso set-up judged at every beta
+    # one instance and program, every beta > 0 solved in one lockstep call
     t0 = time.perf_counter()
     points = [dict(d=d, n=n, sigma=sigma, beta=b, trial=trial,
                    seed=_cell_seed(cfg, d, n, sigma, trial), success=0,
-                   active_blocks=0, abs_distance=float("nan"), wall_ms=0.0, note="")
+                   active_blocks=0, abs_distance=float("nan"), note="")
               for b in cfg.betas]
     try:
         inst = build_cell(cfg, d, n, sigma, trial)
         prob = build_program(inst.x, inst.patterns, inst.y, cfg.program)
-        lasso = solve_lasso_path(prob, [b for b in cfg.betas if b > 0.0], cfg.solver)
+        betas = [b for b in cfg.betas if b > 0.0]
+        lasso = dict(zip(betas, solve_lasso_path(prob, betas, cfg.solver)))
         for point in points:
-            _run_sweep_point(cfg, point, prob, lasso, inst.model)
+            _run_sweep_point(cfg, point, prob, lasso.get(point["beta"]), inst.model)
     except NeurisoError as exc:  # no instance or set-up: every point notes why
         points = [dict(p, note="%s: %s" % (type(exc).__name__, exc)) for p in points]
-    setup = (time.perf_counter() - t0) * 1e3 - sum(p["wall_ms"] for p in points)
-    return [_stamp(cfg, p["wall_ms"] + setup / len(points), p, SweepPoint)
-            for p in points]
+    wall_ms = (time.perf_counter() - t0) * 1e3 / len(points)
+    return [_stamp(cfg, wall_ms, p, SweepPoint) for p in points]
 
 
 def run_beta_sweep(cfg):
     """Sweep the group-lasso penalty over cfg.betas on one (d, n) cell.
 
-    Each (sigma, trial) pair is one path: one instance, program and lasso set-up
-    judged at every beta (beta = 0 by the min-norm solver). A point's wall_ms is
-    its own solve plus an even share of its path's set-up; rows come in (sigma,
-    beta, trial) order."""
+    Each (sigma, trial) pair is one path: one instance and program, every
+    beta > 0 solved in lockstep by one `solve_lasso_path` call and beta = 0 by
+    the min-norm solver, each judged against the plant. A point's wall_ms is
+    its path's wall time divided by the path's point count; rows come in
+    (sigma, beta, trial) order."""
     if cfg.program != "reg_grelu_skip":
         raise InvalidInputError("beta sweeps need the penalized program")
     if not cfg.betas:

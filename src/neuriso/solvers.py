@@ -131,7 +131,7 @@ def _columns(widths, keys=None):
 def _row_norms(m):
     # numpy sends each (1, w) @ (w, 1) product of the stack to the ddot that
     # np.linalg.norm calls on a vector, so every norm keeps its bits
-    return np.sqrt(np.matmul(m[:, None, :], m[:, :, None]))[:, 0, 0]
+    return np.sqrt(np.matmul(m[..., None, :], m[..., :, None]))[..., 0, 0]
 
 
 def _block_norms(v, cols):
@@ -142,17 +142,21 @@ def _block_norms(v, cols):
 
 
 def _soft_blocks(v, cols, t):
-    # blocks above t scale by 1 - t/nv in a masked multiply, the rest stay +0.0
-    # (the floor keeps 0/0 out at t = 0); one width group works on (k, w) views
-    out, whole = np.zeros(cols.total), len(cols.groups) == 1
+    # a row v or an (m, total) stack of rows, and thresholds t: a scalar or an
+    # (m, 1) column. Blocks above t scale by 1 - t/nv in a masked multiply, the
+    # rest stay +0.0; only kept blocks, whose norms are positive, divide. One
+    # width group works on (..., k, w) views; take gathers the others in C
+    # order, so each block's norm reads it unit-stride as a lone row does
+    out, whole = np.zeros(v.shape), len(cols.groups) == 1
     for _, idx in cols.groups:
-        seg = v.reshape(idx.shape) if whole else v[idx]
+        seg = v.reshape(v.shape[:-1] + idx.shape) if whole else v.take(idx, axis=-1)
         nv = _row_norms(seg)
-        dst = out.reshape(idx.shape) if whole else np.zeros(idx.shape)
-        np.multiply((1.0 - t / np.maximum(nv, t or 1.0))[:, None], seg,
-                    out=dst, where=(nv > t)[:, None])
+        keep = nv > t
+        dst = out.reshape(seg.shape) if whole else np.zeros(seg.shape)
+        np.divide(t, nv, out=nv, where=keep)
+        np.multiply((1.0 - nv)[..., None], seg, out=dst, where=keep[..., None])
         if not whole:
-            out[idx] = dst
+            out[idx if v.ndim == 1 else (slice(None), idx)] = dst
     return out
 
 
@@ -390,11 +394,16 @@ def solve_lasso_path(p, betas, opts=None):
     """Accelerated proximal gradient for 0.5||Aw - y||^2 + beta sum ||w_j||.
 
     Checks p (whose own beta is unused), stacks its blocks and estimates ||A||^2
-    by power iteration for the step size once, then returns an iterator that
-    solves each of `betas` > 0 from w = 0 as it is drawn, restarting momentum
-    when the objective rises, until the objective plateaus over 50 iterations
-    with the stationarity residual below 1e-8 (times beta if beta > 1). A zero
-    operator gives w = 0, its exact optimum, at once. beta = 0 is min-norm.
+    by power iteration for the step size once, then solves every one of
+    `betas` > 0 from w = 0 and returns the solutions as a list in the order
+    given. The betas run in lockstep: one iteration advances the (m, total)
+    stack of the m still running, with momentum restarted per beta when its
+    objective rises. Every 50 iterations each beta stops once its objective
+    plateaus with the stationarity residual below 1e-8 (times beta if
+    beta > 1), and leaves the stack with its own iteration count. Every stack
+    operation runs the kernel a lone beta would, so each solution is bit for
+    bit the one a solve of its beta alone gives. A zero operator gives w = 0,
+    its exact optimum, at once. beta = 0 is min-norm.
     """
     opts = opts or SolverOptions()
     blocks, y, cones = _check_problem(p)
@@ -405,38 +414,49 @@ def solve_lasso_path(p, betas, opts=None):
         raise InvalidInputError("use solve_cone_constrained for cone problems")
     cols = _columns([b.shape[1] for b in blocks])
     a = np.hstack(blocks)
-    step = 1.0 / _power_step(a) if betas and a.any() else None
-
-    def solve(beta):
-        w = np.zeros(cols.total)
-        if step is None:  # every gradient A_j^T r is zero, inside the beta ball
-            return _lasso_solution(a, cols, w, y, beta, 0, True)
-        v, tk, it, converged = w, 1.0, 0, False
-        prev_check = _lasso_objective(a, cols, w, y, beta)
-        kkt_goal = 1e-8 * max(1.0, beta)
-        for it in range(1, opts.max_iter + 1):
-            g = a.T @ (a @ v - y)
-            w_new = _soft_blocks(v - step * g, cols, step * beta)
-            tk_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-            v = w_new + ((tk - 1.0) / tk_new) * (w_new - w)
-            tk, w = tk_new, w_new
-            if it % 50 == 0:
-                cur = _lasso_objective(a, cols, w, y, beta)
-                if cur > prev_check:
-                    tk, v = 1.0, w
-                kkt = _lasso_kkt(a, cols, w, y, beta)
-                flat = prev_check - cur < 1e-12 * max(1.0, abs(prev_check))
-                prev_check = cur
-                if flat and kkt < kkt_goal:
-                    converged = True
-                    break
-        return _lasso_solution(a, cols, w, y, beta, it, converged)
-    return map(solve, betas)
+    w = np.zeros((len(betas), cols.total))
+    if not (betas and a.any()):  # every gradient A_j^T r is zero, inside the beta ball
+        return [_lasso_solution(a, cols, w[k], y, b, 0, True) for k, b in enumerate(betas)]
+    step = 1.0 / _power_step(a)
+    out = [None] * len(betas)
+    live = list(range(len(betas)))  # the stack's rows, as positions in betas
+    prev_check = [_lasso_objective(a, cols, w[k], y, b) for k, b in enumerate(betas)]
+    th = step * np.array(betas)[:, None]
+    v, tk = w, np.ones((len(betas), 1))
+    for it in range(1, opts.max_iter + 1):
+        # matmul gives each row of the stack the gemv a @ v gets alone
+        r = np.matmul(a, v[..., None])[..., 0] - y
+        g = np.matmul(a.T, r[..., None])[..., 0]
+        w_new = _soft_blocks(v - step * g, cols, th)
+        tk_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+        v = w_new + ((tk - 1.0) / tk_new) * (w_new - w)
+        tk, w = tk_new, w_new
+        if it % 50 == 0:
+            stay = []
+            for i, k in enumerate(live):
+                beta = betas[k]
+                cur = _lasso_objective(a, cols, w[i], y, beta)
+                if cur > prev_check[k]:
+                    tk[i], v[i] = 1.0, w[i]
+                kkt = _lasso_kkt(a, cols, w[i], y, beta)
+                flat = prev_check[k] - cur < 1e-12 * max(1.0, abs(prev_check[k]))
+                prev_check[k] = cur
+                if flat and kkt < 1e-8 * max(1.0, beta):
+                    out[k] = _lasso_solution(a, cols, w[i], y, beta, it, True)
+                else:
+                    stay.append(i)
+            live = [live[i] for i in stay]
+            if not live:
+                return out
+            v, w, tk, th = v[stay], w[stay], tk[stay], th[stay]
+    for i, k in enumerate(live):  # still running at the iteration cap
+        out[k] = _lasso_solution(a, cols, w[i], y, betas[k], opts.max_iter, False)
+    return out
 
 
 def solve_group_lasso(p, opts=None):
     """`solve_lasso_path` of p at its own beta > 0."""
-    return next(solve_lasso_path(p, [p.beta], opts))
+    return solve_lasso_path(p, [p.beta], opts)[0]
 
 
 def solve_cone_constrained(p, opts=None):

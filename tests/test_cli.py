@@ -29,6 +29,12 @@ def kv(capsys):
     return pairs
 
 
+def package_env():
+    # a child interpreter that imports this checkout's neuriso
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(neuriso.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_usage_errors_exit_2(capsys):
@@ -71,6 +77,20 @@ def test_usage_errors_exit_2(capsys):
                   ["curves", "--grid-points", "-2"]):
         assert dispatch(["theory"] + extra) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("module", ["neuriso", "neuriso.cli"])
+def test_python_dash_m_runs_the_command(module):
+    # `python -m neuriso.cli` used to run nothing and exit 0, and the package
+    # had no `python -m` entry point
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                              text=True, timeout=60, env=package_env())
+    out = run("gmm-check", "--n1", "5", "--n2", "5", "--d", "3", "--separation", "2",
+              "--seed", "-1")
+    assert out.returncode == 2 and "--seed must be nonnegative" in out.stderr, out.stderr
+    out = run("theory", "theta-star")
+    assert out.returncode == 0 and "theta_star=" in out.stdout, out.stderr
 
 
 def test_bad_solver_config_exits_2(tmp_path, capsys):
@@ -131,10 +151,8 @@ def test_theory_theta_star_below_float_spacing():
     # once the bisection bracket closed to two adjacent floats
     code = ("from neuriso.cli import dispatch; "
             "raise SystemExit(dispatch(['theory', 'theta-star', '--tol', '1e-300']))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(neuriso.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, timeout=60, env=env)
+                         text=True, timeout=60, env=package_env())
     assert out.returncode == 0, out.stderr
     pairs = dict(line.split("=", 1) for line in out.stdout.split())
     assert abs(float(pairs["theta_star"]) - 0.1307583538) < 1e-6

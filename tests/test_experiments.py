@@ -1,9 +1,11 @@
 """Tests for the Monte-Carlo grid engine: determinism, schema, failure
 recording, the beta sweep, plot-script emission, and config parsing."""
 
+import itertools
 import os
 import re
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -229,6 +231,21 @@ def test_beta_sweep_paths_equal_the_per_point_pipeline(threads):
             if f.name != "wall_ms"} for p in pts]
     assert got == per_point_sweep(cfg)
     assert all(p.wall_ms > 0.0 for p in pts)
+
+
+def test_sweep_points_share_their_path_wall_time(monkeypatch):
+    # a clock stepping 0.25 s per reading: each path reads it at its start
+    # and its end, so every path takes 250 ms, shared evenly by its points
+    ticks = itertools.count(0.0, 0.25)
+    monkeypatch.setattr(ex, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    cfg = sweep_cfg(sigmas=(0.0, 0.1), betas=(0.0, 0.02, 0.3), trials=2)
+    paths = {}
+    for p in ex.run_beta_sweep(cfg):
+        paths.setdefault((p.sigma, p.trial), []).append(p.wall_ms)
+    assert len(paths) == 4
+    for walls in paths.values():
+        assert len(walls) == 3 and len(set(walls)) == 1
+        assert sum(walls) == pytest.approx(250.0, rel=1e-12)
 
 
 def test_sweep_path_that_cannot_build_notes_every_point(monkeypatch):

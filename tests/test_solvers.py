@@ -1,9 +1,10 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from neuriso import arrangements as arr
 from neuriso import ensembles as ens
@@ -158,19 +159,25 @@ def test_lasso_step_when_the_power_start_is_in_the_null_space():
 
 
 @st.composite
-def block_vectors(draw):
+def block_vectors(draw, rows=None):
+    # one vector, or a stack of `rows` vectors, over the same drawn widths
     widths = draw(st.lists(st.integers(0, 40), min_size=1, max_size=10))
     if draw(st.booleans()):
         # one width for every block: the kernels' reshape-view path
         widths = [widths[0]] * len(widths)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    segs = [rng.standard_normal(w) * 10.0 ** rng.integers(-3, 4) for w in widths]
-    for seg in segs:
-        if draw(st.booleans()):
-            seg[:] = 0.0
-        elif draw(st.booleans()):
-            seg[rng.random(seg.size) < 0.5] = -0.0
-    return widths, np.concatenate(segs)
+
+    def vector():
+        segs = [rng.standard_normal(w) * 10.0 ** rng.integers(-3, 4) for w in widths]
+        for seg in segs:
+            if draw(st.booleans()):
+                seg[:] = 0.0
+            elif draw(st.booleans()):
+                seg[rng.random(seg.size) < 0.5] = -0.0
+        return np.concatenate(segs)
+    if rows is None:
+        return widths, vector()
+    return widths, np.stack([vector() for _ in range(draw(rows))])
 
 
 @settings(max_examples=150, deadline=None)
@@ -194,6 +201,32 @@ def test_batched_block_kernels_equal_a_per_block_loop(blocks, t, tie):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # t = 0 over a zero block divides nothing
         assert sol._soft_blocks(v, cols, t).tobytes() == soft.tobytes()
+
+
+# per row: a threshold, or the index of a block whose norm is the threshold
+ROW_THRESHOLDS = st.lists(st.just(0.0) | st.floats(0.0, 50.0) | st.integers(0, 9),
+                          min_size=4, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_vectors(rows=st.integers(1, 4)), ROW_THRESHOLDS)
+@example(([2, 3, 2], np.array([[1.0, -2.0, 0.0, 0.0, 0.0, 3.0, 4.0],
+                               [0.5, 0.0, 1.0, 2.0, 2.0, -0.0, 0.0]])), [0.0, 1, 0.0, 0.0])
+def test_stacked_soft_threshold_equals_one_row_at_a_time(blocks, picks):
+    widths, v = blocks
+    t = []
+    for row, pick in zip(v, picks):
+        if isinstance(pick, int):  # a tie: that block is not kept
+            j = pick % len(widths)
+            pick = float(np.linalg.norm(row[sum(widths[:j]):sum(widths[:j + 1])]))
+        t.append(pick)
+    cols = sol._columns(widths)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # t = 0 over a zero block divides nothing
+        got = sol._soft_blocks(v, cols, np.array(t)[:, None])
+        want = [sol._soft_blocks(row, cols, th) for row, th in zip(v, t)]
+    assert got.shape == v.shape
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def float64_sum_sq(first, norms):
@@ -220,25 +253,66 @@ def test_sum_sq_equals_the_float64_loop(first, norms):
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+def one_beta_fista(p, beta, opts):
+    # the one-beta loop the lockstep path replaced, counting momentum restarts
+    cols = sol._columns([np.shape(b)[1] for b in p.blocks])
+    a, y = np.hstack(p.blocks), np.asarray(p.target, dtype=float)
+    w = np.zeros(cols.total)
+    if not a.any():
+        return sol._lasso_solution(a, cols, w, y, beta, 0, True), 0
+    step = 1.0 / sol._power_step(a)
+    v, tk, it, converged, restarts = w, 1.0, 0, False, 0
+    prev_check = sol._lasso_objective(a, cols, w, y, beta)
+    for it in range(1, opts.max_iter + 1):
+        g = a.T @ (a @ v - y)
+        w_new = sol._soft_blocks(v - step * g, cols, step * beta)
+        tk_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
+        v = w_new + ((tk - 1.0) / tk_new) * (w_new - w)
+        tk, w = tk_new, w_new
+        if it % 50 == 0:
+            cur = sol._lasso_objective(a, cols, w, y, beta)
+            if cur > prev_check:
+                tk, v, restarts = 1.0, w, restarts + 1
+            kkt = sol._lasso_kkt(a, cols, w, y, beta)
+            flat = prev_check - cur < 1e-12 * max(1.0, abs(prev_check))
+            prev_check = cur
+            if flat and kkt < 1e-8 * max(1.0, beta):
+                converged = True
+                break
+    return sol._lasso_solution(a, cols, w, y, beta, it, converged), restarts
+
+
 def test_lasso_path_equals_one_solve_per_beta():
-    rng = np.random.default_rng(21)
-    blocks = [rng.standard_normal((15, 3)) for _ in range(6)]
-    cases = [(blocks, (0.5, 0.05, 3.0, 0.5)),
-             ([np.zeros((15, 2)), np.zeros((15, 0))], (0.1, 2.0))]
-    for blocks, betas in cases:
-        p = sol.GroupProblem(blocks=blocks, target=rng.standard_normal(15))
-        path = list(sol.solve_lasso_path(p, betas))
-        assert len(path) == len(betas)
-        for beta, s in zip(betas, path):
-            one = sol.solve_group_lasso(dataclasses.replace(p, beta=beta))
+    rng = np.random.default_rng(0)
+    # two width groups; 0.02 and 4.0 restart their momentum, and the four
+    # betas stop at four different checks, or at the cap of 700 iterations
+    blocks = [rng.standard_normal((12, w)) for w in (3, 2, 3, 2, 3)]
+    p = sol.GroupProblem(blocks=blocks, target=rng.standard_normal(12))
+    betas = (0.02, 0.3, 1.0, 4.0, 0.3)
+    cases = [(p, betas, sol.SolverOptions()), (p, betas, sol.SolverOptions(max_iter=700)),
+             (sol.GroupProblem(blocks=[np.zeros((12, 2)), np.zeros((12, 0))],
+                               target=p.target), (0.1, 2.0), sol.SolverOptions())]
+    seen = []
+    for prob, bs, opts in cases:
+        path = sol.solve_lasso_path(prob, bs, opts)
+        assert isinstance(path, list) and len(path) == len(bs)
+        for beta, s in zip(bs, path):
+            one, restarts = one_beta_fista(prob, beta, opts)
             assert s.iterations == one.iterations and s.converged == one.converged
-            assert np.array_equal(s.objective, one.objective)
-            assert np.array_equal(s.dual, one.dual)
-            assert all(np.array_equal(a, b) for a, b in zip(s.weights, one.weights))
-    assert list(sol.solve_lasso_path(p, ())) == []
+            assert np.float64(s.objective).tobytes() == np.float64(one.objective).tobytes()
+            assert s.dual.tobytes() == one.dual.tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(s.weights, one.weights))
+            seen.append((opts.max_iter, s.iterations, s.converged, restarts))
+    full, capped = seen[:5], seen[5:10]
+    assert len({it for _, it, _, _ in full}) == 4 and all(c for _, _, c, _ in full)
+    assert [r > 0 for _, _, _, r in full] == [True, False, False, True, False]
+    assert [(it, c) for _, it, c, _ in capped] == [
+        (700, False), (700, False), (600, True), (150, True), (700, False)]
+    assert [(it, c) for _, it, c, _ in seen[10:]] == [(0, True), (0, True)]
+    assert sol.solve_lasso_path(p, ()) == []
     for bad in ((0.1, 0.0), (np.nan,), (np.inf,)):
         with pytest.raises(InvalidInputError):
-            sol.solve_lasso_path(p, bad)  # before any solve is drawn
+            sol.solve_lasso_path(p, bad)
 
 
 def test_lasso_kkt_at_optimum():
