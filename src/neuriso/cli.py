@@ -6,15 +6,17 @@ Exit codes: 0 on success, 2 on usage errors (bad flags, bad flag
 combinations, malformed configs), 1 on runtime failures.  All randomness
 derives from --seed: each task hashes (seed, d, n, sigma index, trial)
 through numpy's SeedSequence, exactly as the experiments grid does, so a CLI
-run and a library call with the same seed see the same data.  Flags override
-config-file values, which override built-in defaults.
+run and a library call with the same seed see the same data.
+
+Each subcommand takes only the flags it reads.  The six data commands read
+their flags as GridConfig keys through experiments.load_config; `phase` and
+`beta-sweep` also take --config, an INI file whose keys their flags beat.
 """
 
 import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .arrangements import MAX_EXACT_N, enumerate_exact, pattern_of, to_text
 from .ensembles import MATRIX_KINDS, gen_gmm, gmm_success_bound
 from .errors import (InconsistentSolutionError, InvalidInputError,
                      NeurisoError)
-from .experiments import (GridConfig, PLANTS, build_cell,
+from .experiments import (PLANTS, build_cell,
                           emit_plots, load_config, run_beta_sweep, run_grid,
                           solve_program, write_text)
 from .isometry import (nic_linear, nic_multi, nic_relu_single, nnic_single,
@@ -51,63 +53,32 @@ def _emit(pairs):
         print("%s=%s" % (key, val))
 
 
-def _listed(conv):
-    def parse(raw):
-        try:
-            return tuple(conv(v) for v in raw.replace(",", " ").split())
-        except ValueError:
-            raise UsageError("expected a comma-separated %s list, got %r"
-                             % (conv.__name__, raw))
-    return parse
-
-
-_int_list, _float_list = _listed(int), _listed(float)
-
-
 # ------------------------------------------------------------------ configs
 
-def _one_shot_config(args, plant, program, sigma=0.0):
-    return GridConfig(d_values=(args.d,), n_values=(args.n,), trials=1,
-                      ensemble=args.ensemble, plant=plant,
-                      sigmas=(float(sigma),), program=program,
-                      master_seed=0 if args.seed is None else args.seed,
-                      pattern_count=getattr(args, "count", 0) or 0,
-                      success_tol=1e-4 if args.tol is None else args.tol,
-                      beta=getattr(args, "beta", 0.0),
-                      threads=args.threads or 0)
+# (flag, GridConfig field) for every flag that the data commands read as a key
+_CONFIG_FLAGS = (("d", "d_values"), ("n", "n_values"), ("trials", "trials"),
+                 ("ensemble", "ensemble"), ("plant", "plant"),
+                 ("program", "program"), ("sigma", "sigmas"),
+                 ("sigmas", "sigmas"), ("beta", "beta"), ("betas", "betas"),
+                 ("pattern_count", "pattern_count"), ("seed", "master_seed"),
+                 ("tol", "success_tol"), ("threads", "threads"), ("out", "out"))
 
 
-# (flag, GridConfig field, converter) for the flags that override a config
-_GRID_FLAGS = (("d", "d_values", _int_list), ("n", "n_values", _int_list),
-               ("trials", "trials", int), ("sigmas", "sigmas", _float_list),
-               ("betas", "betas", _float_list),
-               ("pattern_count", "pattern_count", int),
-               ("seed", "master_seed", int), ("tol", "success_tol", float),
-               ("threads", "threads", int), ("out", "out", str))
-
-
-def _grid_config(args, sweep=False):
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        if not args.d or not args.n:
-            raise UsageError("need --config or both --d and --n")
-        cfg = GridConfig(d_values=_int_list(args.d), n_values=_int_list(args.n),
-                         program="reg_grelu_skip" if sweep else args.program,
-                         plant=args.plant)
-    # an unset flag is None, or "" for the text flags
-    updates = {field: conv(getattr(args, flag))
-               for flag, field, conv in _GRID_FLAGS
-               if getattr(args, flag, None) not in (None, "")}
-    return replace(cfg, **updates)
+def _config(args, **fixed):
+    """The command's GridConfig: its flags, and the fixed keys that are not
+    None, beat the --config file, which beats GridConfig's defaults."""
+    texts = {field: text for field, text in fixed.items() if text is not None}
+    # an unset flag is None; an empty text flag counts as unset too
+    texts.update((field, str(getattr(args, flag))) for flag, field in _CONFIG_FLAGS
+                 if getattr(args, flag, None) not in (None, ""))
+    return load_config(getattr(args, "config", None) or None, texts)
 
 
 # ------------------------------------------------------------------ commands
 
 def cmd_arrangements(args):
-    cfg = _one_shot_config(args, "linear", "grelu_skip")
-    inst = build_cell(cfg, args.d, args.n, 0.0, 0)
-    if args.count:
+    inst = build_cell(_config(args), args.d, args.n, 0.0, 0)
+    if args.pattern_count:
         ps = inst.patterns
     else:
         if args.n > MAX_EXACT_N:
@@ -131,8 +102,8 @@ def cmd_nic(args):
              "nic-k": "normalized_pair", "nnic-k": "normalized_pair",
              "snic-orth": "linear"}[args.kind]
     program = "grelu_normal" if plant == "normalized_pair" else "grelu_skip"
-    cfg = _one_shot_config(args, plant, program)
-    inst = build_cell(cfg, args.d, args.n, 0.0, 0)
+    inst = build_cell(_config(args, plant=plant, program=program),
+                      args.d, args.n, 0.0, 0)
     if args.kind == "nic-l":
         rep = nic_linear(inst.x, inst.model.neurons[0][0], inst.patterns)
     elif args.kind == "nic-1":
@@ -154,7 +125,7 @@ def cmd_nic(args):
 
 
 def _run_one_shot(args):
-    cfg = _one_shot_config(args, args.plant, args.program, sigma=args.sigma)
+    cfg = _config(args)
     inst = build_cell(cfg, args.d, args.n, args.sigma, 0)
     return (cfg, inst) + solve_program(cfg, inst, cfg.beta)
 
@@ -196,7 +167,7 @@ def cmd_reconstruct(args):
 
 
 def cmd_phase(args):
-    cfg = _grid_config(args)
+    cfg = _config(args)
     if args.plots and not cfg.out:
         raise UsageError("--plots needs an output CSV (--out)")
     rows = run_grid(cfg)
@@ -211,7 +182,8 @@ def cmd_phase(args):
 
 
 def cmd_beta_sweep(args):
-    cfg = _grid_config(args, sweep=True)
+    # without --config a sweep runs the penalized program; with it, the file's
+    cfg = _config(args, program=None if args.config else "reg_grelu_skip")
     pts = run_beta_sweep(cfg)
     _emit([("points", len(pts)),
            ("successes", sum(p.success for p in pts)),
@@ -302,27 +274,30 @@ def cmd_gmm_check(args):
 
 # ------------------------------------------------------------------ parser
 
-def _common():
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed; tasks hash (seed, d, n, sigma index, trial)")
-    p.add_argument("--out", default="",
-                   help="output file (directory for theory curves)")
-    p.add_argument("--config", default="",
-                   help="key = value config file (phase and beta-sweep)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="tolerance override (success threshold / root solve)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads; 0 or 1 (the default) runs serially")
-    return p
+# the flags that several subcommands share; each unset one is None
+_SHARED_FLAGS = {
+    "seed": dict(type=int, help="master seed; tasks hash (seed, d, n, sigma index, trial)"),
+    "out": dict(help="output file (directory for theory curves)"),
+    "config": dict(help="INI config file: [grid] keys are GridConfig's fields, "
+                        "[solver] keys SolverOptions'; flags beat its keys"),
+    "tol": dict(type=float,
+                help="success threshold (the root tolerance of theory theta-star)"),
+    "threads": dict(type=int, help="worker threads; 0 or 1 (the default) runs serially"),
+}
+
+
+def _add_shared(p, *names):
+    for name in names:
+        p.add_argument("--" + name, **_SHARED_FLAGS[name])
 
 
 def _add_instance_flags(p, program=True):
+    _add_shared(p, "seed", "out", *(("tol",) if program else ()))
     p.add_argument("--n", type=int, required=True, help="sample count")
     p.add_argument("--d", type=int, required=True, help="data dimension")
     p.add_argument("--ensemble", choices=MATRIX_KINDS, default="gaussian")
-    p.add_argument("--count", type=int, default=0,
-                   help="sampled pattern count; 0 means max(n, 50)")
+    p.add_argument("--count", dest="pattern_count", type=int,
+                   help="sampled pattern count; 0 (the default) means max(n, 50)")
     if program:
         p.add_argument("--program", choices=PROGRAMS, default="grelu_skip")
         p.add_argument("--plant", choices=PLANTS, default="linear")
@@ -332,17 +307,19 @@ def _add_instance_flags(p, program=True):
 
 
 def _add_grid_flags(p, sweep=False):
-    p.add_argument("--d", default="", help="comma-separated dimensions")
-    p.add_argument("--n", default="", help="comma-separated sample counts")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--plant", choices=PLANTS, default="linear")
-    p.add_argument("--program", choices=PROGRAMS, default="grelu_skip")
-    p.add_argument("--sigmas", default="", help="comma-separated noise levels")
+    # a sweep's success is its support test, so it reads no success threshold
+    _add_shared(p, "seed", "out", "config", "threads", *(() if sweep else ("tol",)))
+    p.add_argument("--d", help="comma-separated dimensions")
+    p.add_argument("--n", help="comma-separated sample counts")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--plant", choices=PLANTS)
+    p.add_argument("--sigmas", help="comma-separated noise levels")
     p.add_argument("--pattern-count", dest="pattern_count", type=int,
-                   default=None, help="sampled patterns per cell; 0 = max(n, 50)")
+                   help="sampled patterns per cell; 0 = max(n, 50)")
     if sweep:
-        p.add_argument("--betas", default="", help="comma-separated penalties")
+        p.add_argument("--betas", help="comma-separated penalties")
     else:
+        p.add_argument("--program", choices=PROGRAMS)
         p.add_argument("--plots", action="store_true",
                        help="emit one plot script per metric next to the CSV")
 
@@ -354,43 +331,36 @@ def _build_parser():
                     "certificates, solves, and phase-transition experiments.")
     sub = parser.add_subparsers(dest="command", metavar="command",
                                 required=True)
-    common = _common()
 
-    p = sub.add_parser("arrangements", parents=[common],
-                       help="count or sample activation patterns")
+    p = sub.add_parser("arrangements", help="count or sample activation patterns")
     _add_instance_flags(p, program=False)
     p.set_defaults(func=cmd_arrangements)
 
-    p = sub.add_parser("nic", parents=[common],
-                       help="run an isometry certificate check")
+    p = sub.add_parser("nic", help="run an isometry certificate check")
     p.add_argument("--kind", choices=NIC_KINDS, required=True)
     _add_instance_flags(p, program=False)
     p.set_defaults(func=cmd_nic)
 
-    p = sub.add_parser("solve", parents=[common],
-                       help="solve one planted instance")
+    p = sub.add_parser("solve", help="solve one planted instance")
     _add_instance_flags(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("reconstruct", parents=[common],
-                       help="solve and write the explicit two-layer network")
+    p = sub.add_parser("reconstruct", help="solve and write the explicit two-layer network")
     _add_instance_flags(p)
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("phase", parents=[common],
-                       help="run a (d, n, sigma) recovery grid to CSV")
+    p = sub.add_parser("phase", help="run a (d, n, sigma) recovery grid to CSV")
     _add_grid_flags(p)
     p.set_defaults(func=cmd_phase)
 
-    p = sub.add_parser("beta-sweep", parents=[common],
-                       help="sweep the penalty on one (d, n) cell")
+    p = sub.add_parser("beta-sweep", help="sweep the penalty on one (d, n) cell")
     _add_grid_flags(p, sweep=True)
     p.set_defaults(func=cmd_beta_sweep)
 
-    p = sub.add_parser("theory", parents=[common],
-                       help="asymptotic scalars and limit curves")
+    p = sub.add_parser("theory", help="asymptotic scalars and limit curves")
     p.add_argument("action", choices=("theta-star", "curves", "coefficients",
                                       "kinematic", "interval", "threshold"))
+    _add_shared(p, "out", "tol")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--points", type=int, default=101)
     p.add_argument("--grid-points", dest="grid_points", type=int, default=41)
@@ -401,8 +371,8 @@ def _build_parser():
     p.add_argument("--sigma2", type=float, default=1.0)
     p.set_defaults(func=cmd_theory)
 
-    p = sub.add_parser("gmm-check", parents=[common],
-                       help="two-component mixture separation check")
+    p = sub.add_parser("gmm-check", help="two-component mixture separation check")
+    _add_shared(p, "seed")
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--d", type=int, required=True)

@@ -11,6 +11,7 @@ success = 0 and a note; the grid itself never aborts.
 import configparser
 import os
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 
@@ -34,18 +35,18 @@ NORMAL_PROGRAMS = ("grelu_normal", "relu_normal_cone")
 
 @dataclass
 class GridConfig:
-    d_values: tuple
-    n_values: tuple
+    d_values: tuple[int, ...]
+    n_values: tuple[int, ...]
     trials: int = 5
     ensemble: str = "gaussian"
     plant: str = "linear"
-    sigmas: tuple = (0.0,)
+    sigmas: tuple[float, ...] = (0.0,)
     program: str = "grelu_skip"
     master_seed: int = 0
     pattern_count: int = 0  # 0 means max(n, 50)
     success_tol: float = 1e-4
     beta: float = 0.0  # grid-cell penalty; nonzero only for reg_grelu_skip
-    betas: tuple = ()  # penalty grid for run_beta_sweep
+    betas: tuple[float, ...] = ()  # penalty grid for run_beta_sweep
     threads: int = 0  # worker threads; 0 or 1 runs the cells serially
     wall_budget_s: float = 60.0
     solver: SolverOptions = None
@@ -500,39 +501,48 @@ def fit_logistic_midpoint(ns, rates):
 
 def _section_kwargs(sec, cls):
     """Keyword arguments for cls from the keys of sec named after its fields,
-    each parsed by its declared type; tuples split on commas and spaces, and
-    a required field that is absent reads as empty, so cls reports it."""
+    each parsed by its declared type; a tuple[t, ...] splits on commas and
+    spaces, and a required field that is absent reads as empty, so cls
+    reports it."""
     kwargs = {}
     for f in fields(cls):
-        if f.type not in (int, float, str, tuple):
+        kind = typing.get_origin(f.type) or f.type
+        if kind not in (int, float, str, tuple):
             continue  # a nested options record has its own section
         if f.name in sec or f.default is MISSING:
             raw = sec.get(f.name, "")
-            kwargs[f.name] = (tuple(raw.replace(",", " ").split())
-                              if f.type is tuple else f.type(raw))
+            item = typing.get_args(f.type)[0] if kind is tuple else kind
+            try:
+                kwargs[f.name] = (tuple(map(item, raw.replace(",", " ").split()))
+                                  if kind is tuple else kind(raw))
+            except ValueError:
+                what = "a comma-separated %s list" if kind is tuple else "%s"
+                raise InvalidInputError("%s: expected %s, got %r"
+                                        % (f.name, what % item.__name__, raw))
     return kwargs
 
 
-def load_config(path):
-    """Parse a sectioned key = value file into a GridConfig.
+def load_config(path=None, flags=None):
+    """Build a GridConfig from a sectioned key = value file and flag texts.
 
-    Needs a [grid] section, whose keys are GridConfig's fields; an optional
-    [solver] section sets SolverOptions' fields.  List values are comma- or
-    space-separated, and # or ; starts a comment."""
-    if not os.path.exists(path):
-        raise InvalidInputError("config file not found: %s" % path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise InvalidInputError("bad config file: %s" % exc)
-    if "grid" not in parser:
-        raise InvalidInputError("config file needs a [grid] section")
-    try:
-        kwargs = _section_kwargs(parser["grid"], GridConfig)
-        if "solver" in parser:
-            kwargs["solver"] = SolverOptions(
-                **_section_kwargs(parser["solver"], SolverOptions))
-        return GridConfig(**kwargs)
-    except ValueError as exc:
-        raise InvalidInputError("bad config value: %s" % exc)
+    Each [grid] key is a GridConfig field, and flags maps fields to text in
+    the same format; a flag beats the file's key, which beats the field's
+    default.  An optional [solver] section sets SolverOptions' fields.  List
+    values are comma- or space-separated, # or ; starts a comment in the
+    file, and values are read literally (no % interpolation)."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
+    if path is not None:
+        if not os.path.exists(path):
+            raise InvalidInputError("config file not found: %s" % path)
+        try:
+            parser.read(path)
+        except configparser.Error as exc:
+            raise InvalidInputError("bad config file: %s" % exc)
+        if "grid" not in parser:
+            raise InvalidInputError("config file needs a [grid] section")
+    parser.read_dict({"grid": flags or {}})
+    kwargs = _section_kwargs(parser["grid"], GridConfig)
+    if "solver" in parser:
+        kwargs["solver"] = SolverOptions(**_section_kwargs(parser["solver"], SolverOptions))
+    return GridConfig(**kwargs)

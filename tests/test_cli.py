@@ -6,13 +6,14 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import neuriso
-from neuriso import experiments as ex
+from neuriso import cli, experiments as ex
 from neuriso.cli import dispatch
 
 SUBCOMMANDS = ("arrangements", "nic", "solve", "reconstruct", "phase",
@@ -91,6 +92,101 @@ def test_python_dash_m_runs_the_command(module):
     assert out.returncode == 2 and "--seed must be nonnegative" in out.stderr, out.stderr
     out = run("theory", "theta-star")
     assert out.returncode == 0 and "theta_star=" in out.stdout, out.stderr
+
+
+# each subcommand's argv without the flag under test; every one of them parses
+BASE_ARGV = {
+    "arrangements": ["--n", "6", "--d", "3"],
+    "nic": ["--kind", "nic-l", "--n", "6", "--d", "3"],
+    "solve": ["--n", "6", "--d", "3"],
+    "reconstruct": ["--n", "6", "--d", "3", "--out", "net.txt"],
+    "beta-sweep": ["--d", "3", "--n", "9", "--betas", "0.1"],
+    "theory": ["theta-star"],
+    "gmm-check": ["--n1", "5", "--n2", "5", "--d", "3", "--separation", "2"],
+}
+FLAG_VALUES = {"--config": "grid.cfg", "--tol": "0.01", "--threads": "2",
+               "--program": "grelu_skip", "--seed": "1", "--out": "out.txt"}
+
+
+# every (subcommand, flag) pair that used to be accepted and then ignored
+@pytest.mark.parametrize("command, flag", [
+    ("arrangements", "--config"), ("arrangements", "--tol"), ("arrangements", "--threads"),
+    ("nic", "--config"), ("nic", "--tol"), ("nic", "--threads"),
+    ("solve", "--config"), ("solve", "--threads"),
+    ("reconstruct", "--config"), ("reconstruct", "--threads"),
+    ("beta-sweep", "--program"), ("beta-sweep", "--tol"),
+    ("theory", "--seed"), ("theory", "--config"), ("theory", "--threads"),
+    ("gmm-check", "--out"), ("gmm-check", "--config"), ("gmm-check", "--tol"),
+    ("gmm-check", "--threads")])
+def test_unread_flags_exit_2(command, flag, capsys):
+    argv = [command] + BASE_ARGV[command]
+    cli._build_parser().parse_args(argv)
+    assert dispatch(argv + [flag, FLAG_VALUES[flag]]) == 2
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
+GRID_CFG = ("[grid]\nd_values = 4\nn_values = 8\ntrials = 2\nplant = linear\n"
+            "program = reg_grelu_skip\nsigmas = 0\nbetas = 0.5\npattern_count = 25\n"
+            "master_seed = 7\nsuccess_tol = 1e-4\nthreads = 0\nout = file.csv\n")
+SHARED_OVERRIDES = [
+    (["--d", "5,6"], {"d_values": (5, 6)}), (["--n", "9"], {"n_values": (9,)}),
+    (["--trials", "3"], {"trials": 3}), (["--plant", "relu"], {"plant": "relu"}),
+    (["--sigmas", "0.25,0"], {"sigmas": (0.0, 0.25)}),
+    (["--pattern-count", "30"], {"pattern_count": 30}),
+    (["--seed", "11"], {"master_seed": 11}), (["--threads", "2"], {"threads": 2}),
+    (["--out", "flag.csv"], {"out": "flag.csv"})]
+
+
+OVERRIDE_CASES = [
+    *[("phase", f, e) for f, e in SHARED_OVERRIDES],
+    ("phase", ["--tol", "0.01"], {"success_tol": 0.01}),
+    ("phase", ["--program", "relu_skip_cone"], {"program": "relu_skip_cone"}),
+    # the plant and program flags used to lose to the file's keys
+    ("phase", ["--plant", "relu", "--program", "relu_skip_cone"],
+     {"plant": "relu", "program": "relu_skip_cone"}),
+    *[("beta-sweep", f, e) for f, e in SHARED_OVERRIDES],
+    ("beta-sweep", ["--betas", "0.2,0.1"], {"betas": (0.1, 0.2)})]
+
+
+@pytest.mark.parametrize("command, flags, expect", OVERRIDE_CASES,
+                         ids=[" ".join([c] + f) for c, f, _ in OVERRIDE_CASES])
+def test_flags_beat_config_keys(command, flags, expect, tmp_path, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "run_grid", lambda cfg: seen.append(cfg) or [])
+    monkeypatch.setattr(cli, "run_beta_sweep", lambda cfg: seen.append(cfg) or [])
+    path = tmp_path / "grid.cfg"
+    path.write_text(GRID_CFG)
+    assert dispatch([command, "--config", str(path)]) == 0
+    assert dispatch([command, "--config", str(path)] + flags) == 0
+    capsys.readouterr()
+    from_file, flagged = seen
+    assert all(getattr(from_file, k) != v for k, v in expect.items())
+    assert flagged == replace(from_file, **expect)
+
+
+def test_percent_in_config_value_is_literal(tmp_path, monkeypatch, capsys):
+    # a % in a config value used to end in an InterpolationSyntaxError traceback
+    seen = []
+    monkeypatch.setattr(cli, "run_grid", lambda cfg: seen.append(cfg) or [])
+    path = tmp_path / "grid.cfg"
+    path.write_text("[grid]\nd_values = 4\nn_values = 8\nout = runs/50%.csv\n")
+    assert dispatch(["phase", "--config", str(path)]) == 0
+    assert dispatch(["phase", "--config", str(path), "--out", "r_50%.csv"]) == 0
+    assert dispatch(["phase", "--d", "4", "--n", "8", "--out", "%(d)s.csv"]) == 0
+    capsys.readouterr()
+    assert [cfg.out for cfg in seen] == ["runs/50%.csv", "r_50%.csv", "%(d)s.csv"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("phase --d 3 --n x", "n_values: expected a comma-separated int list, got 'x'"),
+    ("beta-sweep --d 3 --n 9 --betas 0.1,y",
+     "betas: expected a comma-separated float list, got '0.1,y'"),
+    ("phase --config grid.cfg", "trials: expected int, got 'two'")])
+def test_bad_values_name_their_key(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.cfg").write_text("[grid]\nd_values = 4\nn_values = 8\ntrials = two\n")
+    assert dispatch(argv.split()) == 2
+    assert capsys.readouterr().err == "usage error: %s\n" % message
 
 
 def test_bad_solver_config_exits_2(tmp_path, capsys):

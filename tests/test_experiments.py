@@ -4,14 +4,17 @@ recording, the beta sweep, plot-script emission, and config parsing."""
 import itertools
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from neuriso import experiments as ex
+from neuriso.ensembles import MATRIX_KINDS
 from neuriso.errors import InvalidInputError, MissingPlantError, SchemaError
+from neuriso.recovery import PROGRAMS
 from neuriso.solvers import SolverOptions
 
 
@@ -404,3 +407,53 @@ def test_config_rejects_nonsense(tmp_path):
         ex.load_config(str(path))
     with pytest.raises(InvalidInputError):
         ex.load_config(str(tmp_path / "missing.cfg"))
+
+
+def finite(lo, **kw):
+    return st.floats(min_value=lo, max_value=1e300, allow_nan=False, **kw)
+
+
+@st.composite
+def grid_configs(draw):
+    ints = st.integers(min_value=1, max_value=10**6)
+    program = draw(st.sampled_from(PROGRAMS))
+    kwargs = dict(
+        d_values=tuple(draw(st.lists(ints, min_size=1, max_size=3, unique=True))),
+        n_values=tuple(draw(st.lists(ints, min_size=1, max_size=3, unique=True))),
+        trials=draw(ints), ensemble=draw(st.sampled_from(MATRIX_KINDS)),
+        plant=draw(st.sampled_from(ex.PLANTS)), program=program,
+        sigmas=tuple(draw(st.lists(finite(0.0), min_size=1, max_size=3, unique=True))),
+        master_seed=draw(st.integers(0, 2**63)), pattern_count=draw(st.integers(0, 999)),
+        success_tol=draw(finite(0.0, exclude_min=True)),
+        beta=draw(finite(0.0)) if program == "reg_grelu_skip" else 0.0,
+        betas=tuple(draw(st.lists(finite(0.0), max_size=3, unique=True))),
+        threads=draw(st.integers(0, 8)), wall_budget_s=draw(finite(0.0, exclude_min=True)),
+        # a % reads literally; a # or ; after a space (even the one after
+        # "="), and only there, starts a comment
+        out=draw(st.text("ab_./-%#;", max_size=12).filter(lambda t: not t.startswith(("#", ";")))),
+        solver=SolverOptions(tol=draw(finite(0.0, exclude_min=True)),
+                             max_iter=draw(ints)))
+    try:
+        return ex.GridConfig(**kwargs)
+    except InvalidInputError:  # a plant and program that do not go together
+        assume(False)
+
+
+def as_text(value):
+    if isinstance(value, tuple):
+        return ", ".join(map(repr, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=grid_configs())
+def test_config_text_and_flags_load_back_equal(cfg, tmp_path_factory):
+    texts = {f.name: as_text(getattr(cfg, f.name))
+             for f in fields(ex.GridConfig) if f.name != "solver"}
+    path = tmp_path_factory.getbasetemp() / "property.cfg"
+    path.write_text("[grid]\n%s\n[solver]\ntol = %r\nmax_iter = %d\n" % (
+        "\n".join("%s = %s" % kv for kv in texts.items()),
+        cfg.solver.tol, cfg.solver.max_iter))
+    assert ex.load_config(str(path)) == cfg
+    # flags alone carry every [grid] key; the [solver] section has no flags
+    assert ex.load_config(None, texts) == replace(cfg, solver=SolverOptions())
