@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AccuracyError, InvalidInputError, MissingPlantError,
-                     SchemaError, SizeLimitError)
+from .errors import (InvalidInputError, MissingPlantError, SchemaError,
+                     SizeLimitError)
 from .numerics import as_matrix, compact_svd
 
 MARGIN_EPS = 1e-9  # strict-realizability threshold on the unit-ball margin
@@ -112,16 +112,19 @@ def _affine_min(pts):
 
 def _min_norm_point(pts):
     # Wolfe's minimum-norm-point algorithm over conv(rows of pts).
-    # Finitely terminating, so t* = 0 cases come out exact.
+    # Finitely terminating, so t* = 0 cases come out exact; nearly equal rows
+    # can make it cycle, and then the cap returns the smallest iterate seen.
     pts = np.asarray(pts, dtype=float)
     k = pts.shape[0]
     scale = max(1.0, float(np.max(np.sum(pts * pts, axis=1))))
     sel = [int(np.argmin(np.sum(pts * pts, axis=1)))]
     lam = np.array([1.0])
+    best = pts[sel[0]]
     for _ in range(16 * k + 100):
         v = lam @ pts[sel]
         dots = pts @ v
         vv = float(v @ v)
+        best = v if vv < float(best @ best) else best
         i_star = int(np.argmin(dots))
         if dots[i_star] >= vv - 1e-12 * scale or vv <= 1e-30 * scale:
             return v
@@ -147,7 +150,7 @@ def _min_norm_point(pts):
             lam = lam / lam.sum()
             if len(sel) == 1:
                 break
-    raise AccuracyError("min-norm point search did not terminate")
+    return best
 
 
 def allones_margin(x):
@@ -167,33 +170,64 @@ def allones_margin(x):
     return float(np.min(x @ w)), w
 
 
+def _decide(x, signs, w):
+    """One (signs, unit witness) per sign vector that the rows of x realize
+    with margin > MARGIN_EPS; allones_margin decides a witness that falls short."""
+    w = w / np.linalg.norm(w, axis=1, keepdims=True)
+    ok = np.min(signs * (w @ x.T), axis=1) > MARGIN_EPS
+    for j in np.flatnonzero(~ok):
+        t, w[j] = allones_margin(x * signs[j][:, None])
+        ok[j] = t > MARGIN_EPS
+    _, first = np.unique((signs[ok] > 0) @ (1 << np.arange(x.shape[0])), return_index=True)
+    return signs[ok][first], w[ok][first]
+
+
+def _cells(x):
+    # (sign vectors, unit witnesses) of the cells of the rows of x
+    n, d = x.shape
+    norms = np.linalg.norm(x, axis=1)
+    if n == 0 or np.any(norms <= MARGIN_EPS):  # a zero row leaves no cell
+        return np.zeros((0, n)), np.zeros((0, d))
+    if d == 2:  # the arcs between the 2n boundary angles
+        lo = np.sort((np.arctan2(x[:, 1], x[:, 0]) + [[np.pi / 2], [-np.pi / 2]]).ravel()
+                     % (2 * np.pi))
+        gap = np.diff(np.append(lo, lo[0] + 2 * np.pi))
+        mid = (lo + 0.5 * gap)[gap > 0]
+        w = np.column_stack([np.cos(mid), np.sin(mid)])
+        return _decide(x, np.where(w @ x.T >= 0.0, 1.0, -1.0), w)
+    xk = x / norms[:, None]
+    signs, w = np.array([[1.0], [-1.0]]), np.array([xk[0], -xk[0]])
+    for k in range(1, n):
+        basis = np.linalg.svd(x[k:k + 1])[2][1:].T  # orthonormal, spans x_k-perp
+        cut, v = _cells(x[:k] @ basis)
+        u, bits = v @ basis.T, 1 << np.arange(k)
+        keep = ~np.isin((signs > 0) @ bits, (cut > 0) @ bits)
+        nudge = 0.5 * np.min(np.abs(u @ x[:k].T), axis=1)[:, None] * xk[k] / max(
+            np.max(np.abs(x[:k] @ xk[k])), norms[k])
+        one = np.ones((len(cut), 1))
+        signs, w = _decide(x[:k + 1], np.vstack([
+            np.hstack([signs[keep], np.where(w[keep] @ x[k] >= 0.0, 1.0, -1.0)[:, None]]),
+            np.hstack([cut, one]), np.hstack([cut, -one])]),
+            np.vstack([w[keep], u + nudge, u - nudge]))
+    return signs, w
+
+
 def enumerate_exact(x):
     """Every mask realizable with a strict-interior witness (margin > 1e-9).
 
-    Cells are grown row by row; a child sign vector inherits its parent's
-    witness when that witness already certifies it, and is margin-solved
-    otherwise, so only realizable candidates are ever visited.
+    Deletion-restriction (Zaslavsky, 1975): row k splits exactly the cells
+    meeting its hyperplane H_k, which are the cells of rows 0..k-1 projected
+    onto H_k, listed by the same recursion one dimension lower (closed form
+    in the plane); a row parallel to x_k projects to zero and cuts nothing.
+    A witness u in H_k gives both children u +- e x_k/|x_k|, where e = half
+    u's margin over max(|x_k|, max_i |x_i . x_k|/|x_k|), so no earlier row
+    flips; other cells keep theirs. Margins <= 1e-9 go to allones_margin.
     """
     x = np.asarray(x, dtype=float)
-    n, d = x.shape
-    if n > MAX_EXACT_N:
+    if x.shape[0] > MAX_EXACT_N:
         raise SizeLimitError("exact enumeration capped at n = %d rows" % MAX_EXACT_N)
-    cells = [(np.zeros(0), None, np.inf)]  # (sign vector, witness, margin)
-    for k in range(n):
-        grown = []
-        for signs, h, m in cells:
-            val = float(x[k] @ h) if h is not None else 0.0
-            for sgn in (1.0, -1.0):
-                child = np.append(signs, sgn)
-                if h is not None and min(m, sgn * val) > MARGIN_EPS:
-                    grown.append((child, h, min(m, sgn * val)))
-                    continue
-                t, w = allones_margin(x[: k + 1] * child[:, None])
-                if t > MARGIN_EPS:
-                    grown.append((child, w, t))
-        cells = grown
-    pats = [ArrangementPattern(mask=(signs > 0).astype(np.uint8), witness=h)
-            for signs, h, _ in cells]
+    pats = [ArrangementPattern(mask=(s > 0).astype(np.uint8), witness=h)
+            for s, h in zip(*_cells(x))]
     ones = any(np.all(p.mask == 1) for p in pats)
     return PatternSet(patterns=pats, contains_all_ones=ones, sampled=False)
 

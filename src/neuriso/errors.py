@@ -21,10 +21,6 @@ class DegenerateStackError(NeurisoError):
     """A stacked system is rank-deficient where full row rank is required."""
 
 
-class AccuracyError(NeurisoError):
-    """A numerical routine could not reach its advertised tolerance."""
-
-
 class DegeneratePlantError(NeurisoError):
     """A planted neuron is degenerate (e.g. never active, or patterns collide)."""
 

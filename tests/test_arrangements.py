@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -81,6 +82,166 @@ def test_enumerate_respects_cover_bound():
         r = np.linalg.matrix_rank(x)
         bound = 2 * sum(math.comb(n - 1, k) for k in range(r))
         assert len(arr.enumerate_exact(x).patterns) <= bound
+
+
+def reference_enumeration(x):
+    # the incremental enumeration deletion-restriction replaced: cells grown
+    # row by row, a child margin-solved whenever its parent's witness does
+    # not certify it
+    x = np.asarray(x, dtype=float)
+    cells = [(np.zeros(0), None, np.inf)]  # (sign vector, witness, margin)
+    for k in range(x.shape[0]):
+        grown = []
+        for signs, h, m in cells:
+            val = float(x[k] @ h) if h is not None else 0.0
+            for sgn in (1.0, -1.0):
+                child = np.append(signs, sgn)
+                if h is not None and min(m, sgn * val) > arr.MARGIN_EPS:
+                    grown.append((child, h, min(m, sgn * val)))
+                    continue
+                t, w = arr.allones_margin(x[: k + 1] * child[:, None])
+                if t > arr.MARGIN_EPS:
+                    grown.append((child, w, t))
+        cells = grown
+    return {tuple(int(s > 0) for s in signs) for signs, _, _ in cells}
+
+
+def assert_strict_witnesses(x, ps):
+    for p in ps.patterns:
+        w = p.witness / np.linalg.norm(p.witness)
+        assert np.min((2.0 * p.mask - 1.0) * (x @ w)) > arr.MARGIN_EPS
+
+
+def assert_matches_reference(x):
+    ps = arr.enumerate_exact(x)
+    ref = reference_enumeration(x)
+    assert masks_of(ps) == ref and len(ps.patterns) == len(ref)
+    assert ps.contains_all_ones == ((1,) * x.shape[0] in ref)
+    assert_strict_witnesses(x, ps)
+    return ps
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 9), d=st.integers(1, 5), seed=st.integers(0, 2**16),
+       twist=st.sampled_from(["none", "parallel", "antiparallel", "near",
+                              "zero", "dup_column"]))
+def test_enumerate_exact_matches_reference(n, d, seed, twist):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    if twist == "parallel":
+        x[-1] = 2.5 * x[0]
+    elif twist == "antiparallel":
+        x[-1] = -0.5 * x[0]
+    elif twist == "near":
+        x[-1] = x[0] + 1e-10 * rng.standard_normal(d)
+    elif twist == "zero":
+        x[-1] = 0.0
+    elif twist == "dup_column":
+        x[:, -1] = x[:, 0]
+    assert_matches_reference(x)
+
+
+def test_enumerate_exact_degenerate_cases():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((6, 3))
+    par, anti, near = x.copy(), x.copy(), x.copy()
+    par[4], anti[4] = 3.0 * x[1], -2.0 * x[1]
+    near[4] = x[1] + 1e-10 * rng.standard_normal(3)
+    generic = len(assert_matches_reference(x).patterns)
+    # H_4 = H_1 cuts nothing, and the near copy only cuts thin cells
+    for y in (par, anti, near):
+        assert len(assert_matches_reference(y).patterns) == len(
+            arr.enumerate_exact(np.delete(x, 4, axis=0)).patterns) < generic
+    zero = x.copy()
+    zero[2] = 0.0
+    assert assert_matches_reference(zero).patterns == []
+    dup = rng.standard_normal((7, 4))
+    dup[:, 3] = dup[:, 1]  # rank 3: the cells of the 7 x 3 matrix
+    assert masks_of(assert_matches_reference(dup)) == masks_of(
+        arr.enumerate_exact(dup[:, :3]))
+    line = np.array([[2.0], [-0.5], [1.0], [-3.0]])  # d = 1: h = +1 and h = -1
+    assert masks_of(assert_matches_reference(line)) == {(1, 0, 1, 0), (0, 1, 0, 1)}
+    one = assert_matches_reference(rng.standard_normal((1, 5)))  # n = 1
+    assert masks_of(one) == {(0,), (1,)}
+
+
+def test_enumerate_exact_keeps_thin_cells():
+    # rows 1e-6 apart, early, so that the witness margins of their thin
+    # cells halve with each later split until the margin solve decides
+    # them. The set may also hold a thin cell the reference misses, since
+    # Wolfe's absolute stopping rule is loose for margins this small.
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((int(rng.integers(4, 10)), int(rng.integers(2, 5))))
+        x[1] = x[0] + 1e-6 * rng.standard_normal(x.shape[1])
+        ps = arr.enumerate_exact(x)
+        assert masks_of(ps) >= reference_enumeration(x)
+        assert_strict_witnesses(x, ps)
+
+
+def test_cells_short_of_margin_go_to_the_margin_solve():
+    x = halfplane_3x2()  # rows e1, e2, e1 + e2
+    signs = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, -1.0, 1.0],
+                      [-1.0, -1.0, 1.0]])
+    # a witness on the wrong side, a good one for the same signs, one on
+    # H_1, and one for signs that no direction realizes
+    w = np.array([[-1.0, 0.0], [1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    got, wit = arr._decide(x, signs, w)
+    assert {tuple(s) for s in got} == {(1.0, 1.0, 1.0), (1.0, -1.0, 1.0)}
+    assert np.all(np.min(got * (wit @ x.T), axis=1) > arr.MARGIN_EPS)
+
+
+def test_enumerate_exact_needs_no_margin_solve(monkeypatch):
+    # in general position, and with zero or exactly parallel rows, every
+    # cell is decided by the witness the recursion builds
+    def no_solve(x):
+        raise AssertionError("margin solve ran")
+    monkeypatch.setattr(arr, "allones_margin", no_solve)
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        arr.enumerate_exact(rng.standard_normal((int(rng.integers(1, 13)),
+                                                  int(rng.integers(1, 5)))))
+    for d in (3, 4):
+        x = rng.standard_normal((8, d))
+        x[3], x[5], x[6] = 2.5 * x[0], -0.5 * x[1], 0.0
+        assert arr.enumerate_exact(x).patterns == []
+        assert len(arr.enumerate_exact(x[:6]).patterns) == len(
+            arr.enumerate_exact(x[[0, 1, 2, 4]]).patterns)
+
+
+def test_enumerate_exact_attains_cover_count():
+    # general position: exactly 2 * sum_{k<d} C(n-1, k) cells (Cover, 1965)
+    rng = np.random.default_rng(21)
+    for n in range(1, 13):
+        for d in range(1, 5):
+            x = rng.standard_normal((n, d))
+            count = 2 * sum(math.comb(n - 1, k) for k in range(d))
+            assert len(arr.enumerate_exact(x).patterns) == count
+
+
+def min_norm_by_faces(pts):
+    # the hull's min-norm point by trying the affine minimizer of every face
+    best = np.inf
+    for r in range(1, len(pts) + 1):
+        for face in itertools.combinations(range(len(pts)), r):
+            lam = arr._affine_min(pts[list(face)])
+            if np.all(lam >= 0.0):
+                best = min(best, float(np.linalg.norm(lam @ pts[list(face)])))
+    return best
+
+
+def test_allones_margin_near_duplicate_rows():
+    # rows 1e-10 apart once made Wolfe's solve cycle until its iteration
+    # cap; it now returns the smallest iterate, which is the optimum here
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(4)
+        x = np.array([v, v + 1e-10 * rng.standard_normal(4), rng.standard_normal(4)])
+        for signs in ((1, 1, 1), (-1, -1, -1), (1, 1, -1), (-1, -1, 1)):
+            y = x * np.array(signs, dtype=float)[:, None]
+            t, w = arr.allones_margin(y)
+            assert t > arr.MARGIN_EPS and t == np.min(y @ w)
+            assert t == pytest.approx(min_norm_by_faces(y), rel=1e-8)
 
 
 def test_enumerate_size_limit():
@@ -237,15 +398,17 @@ def test_bases_match_per_mask_svd(n, d, seed, deficient):
     assert got[ps.index(zero)].rank == 0
 
 
-def test_serialization_roundtrip():
-    x = np.random.default_rng(23).normal(size=(5, 3))
-    ps = arr.sample_patterns(x, 200, seed=8)
-    text = arr.to_text(ps)
-    back = arr.from_text(text)
-    assert masks_of(back) == masks_of(ps)
-    assert back.contains_all_ones == ps.contains_all_ones
-    for p, q in zip(ps.patterns, back.patterns):
-        np.testing.assert_allclose(p.witness, q.witness, rtol=0, atol=0)
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 10), d=st.integers(1, 4), seed=st.integers(0, 2**16),
+       exact=st.booleans())
+def test_serialization_roundtrip(n, d, seed, exact):
+    x = np.random.default_rng(seed).standard_normal((n, d))
+    ps = arr.enumerate_exact(x) if exact else arr.sample_patterns(x, 50, seed=seed)
+    back = arr.from_text(arr.to_text(ps))
+    assert back.masks.tobytes() == ps.masks.tobytes()
+    assert (back.sampled, back.contains_all_ones) == (ps.sampled, ps.contains_all_ones)
+    assert [p.witness.tobytes() for p in back.patterns] == [
+        p.witness.tobytes() for p in ps.patterns]
 
 
 def test_from_text_rejects_garbage():
