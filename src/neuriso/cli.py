@@ -24,9 +24,9 @@ from .arrangements import MAX_EXACT_N, enumerate_exact, pattern_of, to_text
 from .ensembles import MATRIX_KINDS, gen_gmm, gmm_success_bound
 from .errors import (InconsistentSolutionError, InvalidInputError,
                      NeurisoError)
-from .experiments import (PLANTS, build_cell,
-                          emit_plots, load_config, run_beta_sweep, run_grid,
-                          solve_program, write_text)
+from .experiments import (PLANTS, build_cell, emit_plots, fit_logistic_midpoint,
+                          load_config, run_beta_sweep, run_grid, solve_program,
+                          write_text)
 from .isometry import (nic_linear, nic_multi, nic_relu_single, nnic_single,
                        report_to_csv, snic_orth)
 from .recovery import (PROGRAMS, network_to_text, predict,
@@ -175,6 +175,13 @@ def cmd_phase(args):
            ("successes", sum(r.success for r in rows)),
            ("failures_noted", sum(1 for r in rows if r.note)),
            ("out", cfg.out or "-")])
+    # fit each (d, sigma)'s success rate over n once it has two points
+    curves = [(d, s) for d in cfg.d_values for s in cfg.sigmas]
+    for d, sigma in curves if len(cfg.n_values) > 1 else ():
+        rates = [np.mean([r.success for r in rows if (r.d, r.n, r.sigma) == (d, n, sigma)])
+                 for n in cfg.n_values]
+        _emit([("midpoint_d%d_sigma%r" % (d, sigma),
+                fit_logistic_midpoint(cfg.n_values, rates))])
     if args.plots:
         for path in emit_plots(cfg.out):
             print("wrote=%s" % path)

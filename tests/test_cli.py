@@ -475,6 +475,29 @@ def test_phase_from_flags_with_plots(tmp_path, capsys):
     assert len(scripts) == 4
 
 
+def test_phase_prints_each_curves_logistic_midpoint(capsys):
+    argv = ["phase", "--d", "3,4", "--n", "6,12,18", "--sigmas", "0,0.05",
+            "--trials", "2", "--pattern-count", "25", "--seed", "3"]
+    assert dispatch(argv) == 0
+    out = kv(capsys)
+    rows = ex.run_grid(ex.load_config(flags={
+        "d_values": "3,4", "n_values": "6,12,18", "sigmas": "0,0.05",
+        "trials": "2", "pattern_count": "25", "master_seed": "3"}))
+    mids = {k: float(v) for k, v in out.items() if k.startswith("midpoint_")}
+    assert sorted(mids) == ["midpoint_d3_sigma0.0", "midpoint_d3_sigma0.05",
+                            "midpoint_d4_sigma0.0", "midpoint_d4_sigma0.05"]
+    for d in (3, 4):
+        for sigma in (0.0, 0.05):
+            rates = [np.mean([r.success for r in rows if (r.d, r.n, r.sigma) == (d, n, sigma)])
+                     for n in (6, 12, 18)]
+            assert mids["midpoint_d%d_sigma%r" % (d, sigma)] == \
+                ex.fit_logistic_midpoint([6, 12, 18], rates)
+    # one n value is no curve
+    assert dispatch(["phase", "--d", "3", "--n", "6", "--trials", "1",
+                     "--pattern-count", "25"]) == 0
+    assert not [k for k in kv(capsys) if k.startswith("midpoint_")]
+
+
 def test_beta_sweep_command(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert dispatch(["beta-sweep", "--d", "5", "--n", "20",

@@ -1,9 +1,13 @@
-"""Package hygiene: modules share helpers only through public names, and
-every public name has a user outside the tests."""
+"""Package hygiene: modules share helpers only through public names, every
+public name has a user outside the tests, and importing the package loads
+numpy but not scipy."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "neuriso"
 ROOT = SRC.parents[1]
@@ -76,3 +80,49 @@ def test_every_public_name_has_a_user_outside_the_tests():
               if name not in users
               and not re.search(r"\b%s\.%s\b" % (path.stem, name), readme)]
     assert not unused, "only tests use: " + ", ".join(unused)
+
+
+# Run in a fresh interpreter: every cone-free path must leave scipy unloaded,
+# and the cone programs, which load it where they run, must still solve.
+SCIPY_FREE = """
+import importlib, pkgutil, sys
+import neuriso
+from neuriso import cli, experiments as ex, solvers as sol
+
+def scipy_loaded():  # the count and the first few names
+    found = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return len(found), found[:3]
+
+for mod in pkgutil.iter_modules(neuriso.__path__):
+    if mod.name != "__main__":  # running it runs the command line
+        importlib.import_module("neuriso." + mod.name)
+assert not scipy_loaded()[0], ("import", scipy_loaded())
+assert cli.dispatch(["theory", "theta-star"]) == 0
+for threads in (0, 2):
+    ex.run_grid(ex.GridConfig(d_values=(3,), n_values=(6, 9), trials=1,
+                              pattern_count=20, threads=threads))
+ex.run_beta_sweep(ex.GridConfig(d_values=(3,), n_values=(9,), trials=1,
+                                program="reg_grelu_skip", betas=(0.0, 0.1)))
+gated = ex.GridConfig(d_values=(3,), n_values=(15,), trials=1, plant="relu",
+                      program="grelu_skip", pattern_count=20)
+inst = ex.build_cell(gated, 3, 15, 0.0, 0)
+sol.build_certificate(inst.x, inst.patterns, inst.model.neurons, kind="relu")
+prob, s, _ = ex.solve_program(gated, inst, 0.0)
+assert sol.verify_kkt(prob, s, tol=1e-6).ok
+assert not scipy_loaded()[0], ("cone-free paths", scipy_loaded())
+
+cone = ex.GridConfig(d_values=(3,), n_values=(15,), trials=1, plant="relu",
+                     program="relu_skip_cone", pattern_count=20)
+prob, s, _ = ex.solve_program(cone, inst, 0.0)
+assert s.converged and sol.verify_kkt(prob, s, tol=1e-6).ok
+print("ok", scipy_loaded()[0])
+"""
+
+
+def test_scipy_loads_only_with_the_cone_programs():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", SCIPY_FREE], capture_output=True,
+                         text=True, timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[-2] == "ok" and int(out.stdout.split()[-1]) > 0, out.stdout

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from neuriso import arrangements as arr
 from neuriso import ensembles as ens
@@ -437,3 +438,62 @@ def test_network_text_rejects_garbage():
         for bad in ("-inf", "inf", "nan"):
             text = text.replace(bad, "0.5")
         assert rec.network_from_text(text).arch == arch
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and -0.0 too
+
+
+@st.composite
+def networks(draw, min_neurons=0):
+    arch = draw(st.sampled_from(rec.ARCHES))
+    m = draw(st.integers(min_neurons, 4))
+    d = draw(st.integers(1, 4))
+    vec = st.lists(FINITE, min_size=m, max_size=m)
+    return rec.NetworkWeights(
+        arch=arch, second_layer=draw(vec),
+        first_layer=[draw(st.lists(FINITE, min_size=d, max_size=d)) for _ in range(m)],
+        alphas=draw(vec) if arch == "normalized" else None,
+        linear_flags=draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        if arch == "skip" else None)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=networks())
+def test_network_text_roundtrip_is_bit_exact(net):
+    back = rec.network_from_text(rec.network_to_text(net))
+    assert back.arch == net.arch
+    assert len(back.first_layer) == len(net.first_layer)
+    for a, b in zip(back.first_layer, net.first_layer):
+        assert a.tobytes() == b.tobytes()
+    assert _bits(back.second_layer) == _bits(net.second_layer)
+    assert (back.alphas is None) == (net.alphas is None)
+    assert _bits(back.alphas or []) == _bits(net.alphas or [])
+    assert back.linear_flags == net.linear_flags
+
+
+@settings(max_examples=200, deadline=None)
+@given(net=networks(min_neurons=1), how=st.sampled_from(["drop", "extra", "nonfinite"]),
+       data=st.data())
+def test_mutated_network_text_raises_schema_error(net, how, data):
+    lines = rec.network_to_text(net).splitlines()
+    if how == "nonfinite":
+        # a neuron row's output weight, alpha (normalized arch) or first-layer entry
+        k = data.draw(st.integers(1, len(lines) - 1))
+        tok = lines[k].split()
+        at = data.draw(st.sampled_from(
+            [1] + [2] * (net.arch == "normalized") + list(range(3, len(tok)))))
+        tok[at] = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "-NaN",
+                                             "Infinity"]))
+    else:
+        k = data.draw(st.integers(0, len(lines) - 1))  # line 0 is the header
+        tok = lines[k].split()
+        if how == "extra":
+            tok.insert(data.draw(st.integers(0, len(tok))),
+                       data.draw(st.sampled_from(["0", "1", "-", "2.5", "network-v1"])))
+    lines[k:k + 1] = [] if how == "drop" else [" ".join(tok)]
+    with pytest.raises(SchemaError):
+        rec.network_from_text("\n".join(lines) + "\n")
