@@ -61,7 +61,7 @@ _CONFIG_FLAGS = (("d", "d_values"), ("n", "n_values"), ("trials", "trials"),
                  ("program", "program"), ("sigma", "sigmas"),
                  ("sigmas", "sigmas"), ("beta", "beta"), ("betas", "betas"),
                  ("pattern_count", "pattern_count"), ("seed", "master_seed"),
-                 ("tol", "success_tol"), ("threads", "threads"), ("out", "out"))
+                 ("tol", "success_tol"), ("out", "out"))
 
 
 def _config(args, **fixed):
@@ -289,7 +289,6 @@ _SHARED_FLAGS = {
                         "[solver] keys SolverOptions'; flags beat its keys"),
     "tol": dict(type=float,
                 help="success threshold (the root tolerance of theory theta-star)"),
-    "threads": dict(type=int, help="worker threads; 0 or 1 (the default) runs serially"),
 }
 
 
@@ -298,13 +297,13 @@ def _add_shared(p, *names):
         p.add_argument("--" + name, **_SHARED_FLAGS[name])
 
 
-def _add_instance_flags(p, program=True):
+def _add_instance_flags(p, program=True,
+                        count_help="sampled pattern count; 0 (the default) means max(n, 50)"):
     _add_shared(p, "seed", "out", *(("tol",) if program else ()))
     p.add_argument("--n", type=int, required=True, help="sample count")
     p.add_argument("--d", type=int, required=True, help="data dimension")
     p.add_argument("--ensemble", choices=MATRIX_KINDS, default="gaussian")
-    p.add_argument("--count", dest="pattern_count", type=int,
-                   help="sampled pattern count; 0 (the default) means max(n, 50)")
+    p.add_argument("--count", dest="pattern_count", type=int, help=count_help)
     if program:
         p.add_argument("--program", choices=PROGRAMS, default="grelu_skip")
         p.add_argument("--plant", choices=PLANTS, default="linear")
@@ -315,7 +314,7 @@ def _add_instance_flags(p, program=True):
 
 def _add_grid_flags(p, sweep=False):
     # a sweep's success is its support test, so it reads no success threshold
-    _add_shared(p, "seed", "out", "config", "threads", *(() if sweep else ("tol",)))
+    _add_shared(p, "seed", "out", "config", *(() if sweep else ("tol",)))
     p.add_argument("--d", help="comma-separated dimensions")
     p.add_argument("--n", help="comma-separated sample counts")
     p.add_argument("--trials", type=int)
@@ -340,7 +339,9 @@ def _build_parser():
                                 required=True)
 
     p = sub.add_parser("arrangements", help="count or sample activation patterns")
-    _add_instance_flags(p, program=False)
+    _add_instance_flags(p, program=False, count_help=(
+        "sampled pattern count; 0 (the default) enumerates every pattern "
+        "exactly, for n up to %d" % MAX_EXACT_N))
     p.set_defaults(func=cmd_arrangements)
 
     p = sub.add_parser("nic", help="run an isometry certificate check")

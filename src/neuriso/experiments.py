@@ -2,8 +2,8 @@
 plot-script emission.
 
 Every cell is seeded from (master_seed, d, n, sigma index, trial) alone, so
-results do not depend on execution order or thread count, and a rerun of the
-same config reproduces the same CSV apart from wall-clock timings.  Per-cell
+results do not depend on execution order, and a rerun of the same config
+reproduces the same CSV apart from wall-clock timings.  Per-cell
 failures (dead plants, solver caps, degenerate stacks) become rows with
 success = 0 and a note; the grid itself never aborts.
 """
@@ -12,7 +12,7 @@ import configparser
 import os
 import time
 import typing
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/spans.py patches this name
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -47,7 +47,6 @@ class GridConfig:
     success_tol: float = 1e-4
     beta: float = 0.0  # grid-cell penalty; nonzero only for reg_grelu_skip
     betas: tuple[float, ...] = ()  # penalty grid for run_beta_sweep
-    threads: int = 0  # worker threads; 0 or 1 runs the cells serially
     wall_budget_s: float = 60.0
     solver: SolverOptions = None
     out: str = ""
@@ -67,9 +66,8 @@ class GridConfig:
             raise InvalidInputError("grid dimensions must be positive")
         if self.trials < 1:
             raise InvalidInputError("trials must be at least 1")
-        if min(self.master_seed, self.pattern_count, self.threads) < 0:
-            raise InvalidInputError("master_seed, pattern_count and threads "
-                                    "must be nonnegative")
+        if min(self.master_seed, self.pattern_count) < 0:
+            raise InvalidInputError("master_seed and pattern_count must be nonnegative")
         for name, known in (("ensemble", MATRIX_KINDS), ("plant", PLANTS),
                             ("program", PROGRAMS)):
             if getattr(self, name) not in known:
@@ -242,21 +240,12 @@ def _run_cell(cfg, d, n, sigma, trial):
     return _stamp(cfg, (time.perf_counter() - t0) * 1e3, row, CellResult)
 
 
-def _map_jobs(cfg, worker, jobs):
-    if cfg.threads <= 1 or len(jobs) == 1:
-        return [worker(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(worker, jobs))
-
-
 def run_grid(cfg):
     """Run every (d, n, sigma, trial) cell and return rows in canonical order.
 
     Writes cfg.out as CSV when set.  Failed cells are recorded, never raised."""
-    jobs = [(d, n, s, t) for d in cfg.d_values for n in cfg.n_values
+    rows = [_run_cell(cfg, d, n, s, t) for d in cfg.d_values for n in cfg.n_values
             for s in cfg.sigmas for t in range(cfg.trials)]
-    # jobs are listed in canonical order, and _map_jobs keeps it
-    rows = _map_jobs(cfg, lambda job: _run_cell(cfg, *job), jobs)
     if cfg.out:
         write_text(grid_to_csv(rows), cfg.out)
     return rows
@@ -315,8 +304,7 @@ def run_beta_sweep(cfg):
     if len(cfg.d_values) != 1 or len(cfg.n_values) != 1:
         raise InvalidInputError("beta sweeps use a single (d, n) cell")
     d, n = cfg.d_values[0], cfg.n_values[0]
-    jobs = [(s, t) for s in cfg.sigmas for t in range(cfg.trials)]
-    paths = _map_jobs(cfg, lambda job: _run_sweep_path(cfg, d, n, *job), jobs)
+    paths = [_run_sweep_path(cfg, d, n, s, t) for s in cfg.sigmas for t in range(cfg.trials)]
     pts = sorted(sum(paths, []), key=lambda p: (p.sigma, p.beta, p.trial))
     if cfg.out:
         write_text(sweep_to_csv(pts), cfg.out)
@@ -471,7 +459,8 @@ def fit_logistic_midpoint(ns, rates):
     """Least-squares logistic midpoint of a success-rate curve.
 
     Deterministic grid search over midpoint and scale with two refinement
-    rounds; no iterative optimizer, so near-step data cannot diverge."""
+    rounds; no iterative optimizer, so near-step data cannot diverge.  A flat
+    curve (every rate equal) has no midpoint and gives nan."""
     ns = np.asarray(ns, dtype=float)
     rates = np.asarray(rates, dtype=float)
     if ns.shape != rates.shape or ns.ndim != 1 or ns.size < 2:
@@ -480,6 +469,8 @@ def fit_logistic_midpoint(ns, rates):
         raise InvalidInputError("ns and rates must be finite")
     if np.any(rates < -1e-9) or np.any(rates > 1.0 + 1e-9):
         raise InvalidInputError("rates must lie in [0, 1]")
+    if np.ptp(rates) == 0.0:
+        return float("nan")
     lo, hi = float(ns.min()), float(ns.max())
     span = max(hi - lo, 1e-9)
     mids = np.linspace(lo, hi, 161)

@@ -41,7 +41,7 @@ def test_criterion_01_linear_phase_transition():
         ns = tuple(range(d, 6 * d + 1, d // 2))
         cfg = ex.GridConfig(d_values=(d,), n_values=ns, trials=5,
                             plant="linear", program="grelu_skip",
-                            master_seed=0, threads=0)
+                            master_seed=0)
         rows = ex.run_grid(cfg)
         rates = [float(np.mean([r.success for r in rows if r.n == n]))
                  for n in ns]
@@ -50,7 +50,7 @@ def test_criterion_01_linear_phase_transition():
         hi_rates[d] = rates[ns.index(3 * d)]
         extra = ex.GridConfig(d_values=(d,), n_values=(int(1.2 * d),),
                               trials=5, plant="linear", program="grelu_skip",
-                              master_seed=0, threads=0)
+                              master_seed=0)
         lo_rates[d] = float(np.mean([r.success for r in ex.run_grid(extra)]))
     elapsed = time.perf_counter() - t0
     ok = (all(1.8 * d < mids[d] < 2.6 * d for d in (10, 20))
@@ -331,7 +331,7 @@ def test_criterion_09_noisy_penalty_window():
         cfg = ex.GridConfig(d_values=(10,), n_values=(40,), trials=1,
                             plant="linear", sigmas=(sig,),
                             program="reg_grelu_skip", betas=betas,
-                            master_seed=0, threads=0)
+                            master_seed=0)
         pts = ex.run_beta_sweep(cfg)
         won = [p.beta for p in pts if p.success]
         by_beta = {p.beta: p for p in pts}
@@ -357,7 +357,7 @@ def test_criterion_09_noisy_penalty_window():
 def test_criterion_10_two_neuron_recovery_rates():
     cfg = ex.GridConfig(d_values=(10,), n_values=(20, 60), trials=5,
                         plant="normalized_pair", program="grelu_normal",
-                        master_seed=0, threads=0)
+                        master_seed=0)
     rows = ex.run_grid(cfg)
     rate = {n: float(np.mean([r.success for r in rows if r.n == n]))
             for n in (20, 60)}

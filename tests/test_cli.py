@@ -100,6 +100,7 @@ BASE_ARGV = {
     "nic": ["--kind", "nic-l", "--n", "6", "--d", "3"],
     "solve": ["--n", "6", "--d", "3"],
     "reconstruct": ["--n", "6", "--d", "3", "--out", "net.txt"],
+    "phase": ["--d", "3", "--n", "9"],
     "beta-sweep": ["--d", "3", "--n", "9", "--betas", "0.1"],
     "theory": ["theta-star"],
     "gmm-check": ["--n1", "5", "--n2", "5", "--d", "3", "--separation", "2"],
@@ -114,6 +115,7 @@ FLAG_VALUES = {"--config": "grid.cfg", "--tol": "0.01", "--threads": "2",
     ("nic", "--config"), ("nic", "--tol"), ("nic", "--threads"),
     ("solve", "--config"), ("solve", "--threads"),
     ("reconstruct", "--config"), ("reconstruct", "--threads"),
+    ("phase", "--threads"), ("beta-sweep", "--threads"),
     ("beta-sweep", "--program"), ("beta-sweep", "--tol"),
     ("theory", "--seed"), ("theory", "--config"), ("theory", "--threads"),
     ("gmm-check", "--out"), ("gmm-check", "--config"), ("gmm-check", "--tol"),
@@ -127,13 +129,13 @@ def test_unread_flags_exit_2(command, flag, capsys):
 
 GRID_CFG = ("[grid]\nd_values = 4\nn_values = 8\ntrials = 2\nplant = linear\n"
             "program = reg_grelu_skip\nsigmas = 0\nbetas = 0.5\npattern_count = 25\n"
-            "master_seed = 7\nsuccess_tol = 1e-4\nthreads = 0\nout = file.csv\n")
+            "master_seed = 7\nsuccess_tol = 1e-4\nout = file.csv\n")
 SHARED_OVERRIDES = [
     (["--d", "5,6"], {"d_values": (5, 6)}), (["--n", "9"], {"n_values": (9,)}),
     (["--trials", "3"], {"trials": 3}), (["--plant", "relu"], {"plant": "relu"}),
     (["--sigmas", "0.25,0"], {"sigmas": (0.0, 0.25)}),
     (["--pattern-count", "30"], {"pattern_count": 30}),
-    (["--seed", "11"], {"master_seed": 11}), (["--threads", "2"], {"threads": 2}),
+    (["--seed", "11"], {"master_seed": 11}),
     (["--out", "flag.csv"], {"out": "flag.csv"})]
 
 
@@ -345,6 +347,20 @@ def test_arrangements_exact_and_sampled(tmp_path, capsys):
     assert len(ps.patterns) == int(pairs["count"])
 
 
+def test_count_help_says_what_0_means(capsys):
+    # arrangements used to share the sampling commands' "max(n, 50)", but its
+    # --count 0 enumerates exactly, up to MAX_EXACT_N
+    def count_help(command):
+        assert dispatch([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        return text[text.index("--count PATTERN_COUNT"):]
+    assert "enumerates every pattern exactly, for n up to %d" % cli.MAX_EXACT_N \
+        in count_help("arrangements")
+    assert "max(n, 50)" not in count_help("arrangements")
+    for command in ("nic", "solve", "reconstruct"):
+        assert "0 (the default) means max(n, 50)" in count_help(command)
+
+
 def test_nic_matches_library(tmp_path, capsys):
     out = tmp_path / "report.csv"
     argv = ["nic", "--kind", "nic-l", "--ensemble", "haar", "--n", "60",
@@ -429,8 +445,7 @@ def test_phase_command_with_config(tmp_path, capsys):
         "[grid]\nd_values = 4\nn_values = 8, 16\ntrials = 2\n"
         "plant = linear\nprogram = grelu_skip\npattern_count = 25\n"
         "master_seed = 7\n")
-    argv = ["phase", "--config", str(cfg_path), "--out", str(out),
-            "--threads", "2"]
+    argv = ["phase", "--config", str(cfg_path), "--out", str(out)]
     assert dispatch(argv) == 0
     capsys.readouterr()
     text = out.read_text()
@@ -490,12 +505,17 @@ def test_phase_prints_each_curves_logistic_midpoint(capsys):
         for sigma in (0.0, 0.05):
             rates = [np.mean([r.success for r in rows if (r.d, r.n, r.sigma) == (d, n, sigma)])
                      for n in (6, 12, 18)]
-            assert mids["midpoint_d%d_sigma%r" % (d, sigma)] == \
-                ex.fit_logistic_midpoint([6, 12, 18], rates)
+            # equal, or both nan for a flat curve
+            np.testing.assert_equal(mids["midpoint_d%d_sigma%r" % (d, sigma)],
+                                    ex.fit_logistic_midpoint([6, 12, 18], rates))
     # one n value is no curve
     assert dispatch(["phase", "--d", "3", "--n", "6", "--trials", "1",
                      "--pattern-count", "25"]) == 0
     assert not [k for k in kv(capsys) if k.startswith("midpoint_")]
+    # a sigma with no success at all used to print midpoint 16.110000000000003
+    assert dispatch(["phase", "--d", "4", "--n", "8,16", "--trials", "2",
+                     "--sigmas", "0,0.1"]) == 0
+    assert kv(capsys)["midpoint_d4_sigma0.1"] == "nan"
 
 
 def test_beta_sweep_command(tmp_path, capsys):

@@ -98,9 +98,7 @@ for mod in pkgutil.iter_modules(neuriso.__path__):
         importlib.import_module("neuriso." + mod.name)
 assert not scipy_loaded()[0], ("import", scipy_loaded())
 assert cli.dispatch(["theory", "theta-star"]) == 0
-for threads in (0, 2):
-    ex.run_grid(ex.GridConfig(d_values=(3,), n_values=(6, 9), trials=1,
-                              pattern_count=20, threads=threads))
+ex.run_grid(ex.GridConfig(d_values=(3,), n_values=(6, 9), trials=1, pattern_count=20))
 ex.run_beta_sweep(ex.GridConfig(d_values=(3,), n_values=(9,), trials=1,
                                 program="reg_grelu_skip", betas=(0.0, 0.1)))
 gated = ex.GridConfig(d_values=(3,), n_values=(15,), trials=1, plant="relu",
