@@ -214,8 +214,10 @@ def per_point_sweep(cfg):
     return rows
 
 
-def test_beta_sweep_paths_equal_the_per_point_pipeline():
-    cfg = sweep_cfg(sigmas=(0.0, 0.1), betas=(0.0, 0.02, 0.3), trials=2)
+@pytest.mark.parametrize("master_seed", [0, 2])
+def test_beta_sweep_paths_equal_the_per_point_pipeline(master_seed):
+    cfg = sweep_cfg(sigmas=(0.0, 0.1), betas=(0.0, 0.02, 0.3), trials=2,
+                    master_seed=master_seed)
     pts = ex.run_beta_sweep(cfg)
     got = [{f.name: getattr(p, f.name) for f in fields(ex.SweepPoint)
             if f.name != "wall_ms"} for p in pts]
