@@ -199,8 +199,6 @@ def _admm(blocks, y, cones, opts):
     sv = compact_svd(a)
     if np.linalg.norm(y - sv.u @ (sv.u.T @ y)) > 1e-6 * (1.0 + np.linalg.norm(y)):
         raise InfeasibleError("target is outside the span of the blocks")
-    # one factor per distinct cone array: the +/- copies of a pattern share theirs
-    distinct = {id(c): c for c in cones if c is not None}
     coned = np.array([j for j, c in enumerate(cones) if c is not None], dtype=int)
     # slacks and scaled multipliers of every cone row, stacked block by block
     rows = _columns([cones[j].shape[0] for j in coned], [cones[j].shape for j in coned])
@@ -210,8 +208,17 @@ def _admm(blocks, y, cones, opts):
     if coned.size:
         from scipy.linalg import cho_solve
         from scipy.linalg.lapack import dpotrs
-        fac = {k: cho_factor(np.eye(c.shape[1]) + c.T @ c) for k, c in distinct.items()}
-        qinv_at = [b.T if c is None else cho_solve(fac[id(c)], b.T)
+        # one factor per distinct cone metric Q_j = I + C_j^T C_j, keyed by its
+        # shape and bytes: relu_skip_cone's cones are row-sign flips of X, which
+        # square away in gemm, so every pattern there shares I + X^T X
+        key, fac = {}, {}
+        for c in cones:
+            if c is not None and id(c) not in key:
+                q = np.eye(c.shape[1]) + c.T @ c
+                k = key[id(c)] = (q.shape, q.tobytes())
+                if k not in fac:
+                    fac[k] = cho_factor(q)
+        qinv_at = [b.T if c is None else cho_solve(fac[key[id(c)]], b.T)
                    for b, c in zip(blocks, cones)]
         msv = compact_svd(sum(b @ m for b, m in zip(blocks, qinv_at)))
         # Blocks are stacked per width and cones per shape, indexed (k, w, 1).
@@ -225,8 +232,8 @@ def _admm(blocks, y, cones, opts):
                    for ids, ridx in rows.groups]
         # potrs on the factor is what cho_solve runs after its checks, here on
         # the blocks sharing it as columns; zero-width blocks need no solve
-        solves = [fac[k] + (np.stack([np.r_[sl[j]] for j in coned if id(cones[j]) == k], 1),)
-                  for k, c in distinct.items() if c.shape[1]]
+        solves = [fac[k] + (np.stack([np.r_[sl[j]] for j in coned if key[id(cones[j])] == k], 1),)
+                  for k in fac if k[0] != (0, 0)]
 
         def project(z, u, dual=False):
             q = z - u
@@ -476,9 +483,9 @@ def solve_cone_constrained(p, opts=None):
     block; with every entry None this is `solve_group_min_norm` bit for bit.
     Cone rows get nonnegative slacks, so the w-step projects onto the
     equality set in the metric Q_j = I + C_j^T C_j: one Cholesky factor per
-    distinct cone array (a program's +/- copies share one), and the
-    multiplier from a compact SVD of the n x n sum_j A_j Q_j^-1 A_j^T built
-    up front. Cones that cannot meet the target stall the constraint
+    distinct cone metric (relu_skip_cone's patterns all share I + X^T X),
+    and the multiplier from a compact SVD of the n x n
+    sum_j A_j Q_j^-1 A_j^T built up front. Cones that cannot meet the target stall the constraint
     residual, which raises InfeasibleError. beta must be 0.
     """
     blocks, y, cones = _check_problem(p)

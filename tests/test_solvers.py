@@ -471,9 +471,51 @@ def test_cone_solves_pass_kkt_with_their_multiplier():
         assert rep.ok, (name, rep)
 
 
+def test_one_factor_per_cone_metric(monkeypatch):
+    # relu_skip_cone's cones are row-sign flips of X, so every pattern's
+    # metric is I + X^T X and one factor serves them all; relu_normal_cone's
+    # metrics differ per pattern, and a rank-0 pattern has no cone
+    calls = []
+    factor = sol.cho_factor
+    monkeypatch.setattr(sol, "cho_factor", lambda a: calls.append(a.shape) or factor(a))
+    for name, prob in cone_programs():
+        calls.clear()
+        sol.solve_cone_constrained(prob)
+        if name == "relu_skip_cone":
+            assert calls == [(8, 8)]
+        else:
+            assert len(calls) == sum(sv.rank > 0 for sv in prob.layout.bases)
+
+
+@pytest.mark.parametrize("d", [3, 5, 10])
+def test_shared_metric_solve_keeps_every_bit(d):
+    # the merged w-step solves every coned column of relu_skip_cone in one
+    # potrs on the shared factor; each column must equal its block's own
+    # cho_solve, and each +/- pair the two-column solve it had before
+    from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg.lapack import dpotrs
+    n = 6 * d
+    x = ens.gen_matrix("gaussian", n, d, seed=d)
+    w = ens.plant_direction(x, seed=d + 1)
+    ps = arr.sample_patterns(x.mat, max(n, 50), seed=d + 2)
+    prob = rec.build_program(x, ps, x.mat @ w, "relu_skip_cone")
+    metrics = [np.eye(d) + c.T @ c for c in prob.cones if c is not None]
+    assert all(np.array_equal(q, metrics[0]) for q in metrics)
+    fac = cho_factor(metrics[0])
+    rng = np.random.default_rng(d)
+    rhs = rng.standard_normal((d, len(metrics))) * 10.0 ** rng.integers(-3, 4, len(metrics))
+    merged = dpotrs(fac[0], rhs, lower=fac[1])[0]
+    for j in range(len(metrics)):
+        assert np.array_equal(merged[:, j], cho_solve(fac, rhs[:, j])), j
+    for j in range(0, len(metrics), 2):
+        assert np.array_equal(merged[:, j:j + 2], cho_solve(fac, rhs[:, j:j + 2])), j
+
+
 def test_shared_cone_factor_keeps_every_bit():
-    # the +/- copies of a program share one cone array, so one factor and one
-    # two-column solve; copying every cone gives each block its own factor
+    # the +/- copies of a program share one cone array; copying every cone
+    # gives each block its own array with the same metric, so the factors,
+    # keyed by the metric's bytes, are shared all the same and the copied
+    # program solves to the same bits
     for name, prob in cone_programs():
         coned = [c for c in prob.cones if c is not None]
         assert len({id(c) for c in coned}) == len(coned) // 2, name
