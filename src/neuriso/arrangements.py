@@ -70,6 +70,8 @@ class PatternSet:
 def pattern_of(x, h):
     """Activation mask of direction h: entry i is 1 iff x_i . h >= 0."""
     h = np.asarray(h, dtype=float)
+    if not np.isfinite(h).all():
+        raise InvalidInputError("a direction needs finite entries")
     if not np.any(h != 0.0):
         raise InvalidInputError("the zero direction induces no arrangement pattern")
     mask = (np.asarray(x, dtype=float) @ h >= 0.0).astype(np.uint8)

@@ -23,7 +23,7 @@ import numpy as np
 from .arrangements import MAX_EXACT_N, enumerate_exact, pattern_of, to_text
 from .ensembles import MATRIX_KINDS, gen_gmm, gmm_success_bound
 from .errors import (InconsistentSolutionError, InvalidInputError,
-                     NeurisoError)
+                     InvalidShapeError, NeurisoError)
 from .experiments import (PLANTS, build_cell, emit_plots, fit_logistic_midpoint,
                           load_config, run_beta_sweep, run_grid, solve_program,
                           write_text)
@@ -402,17 +402,11 @@ def dispatch(argv):
     try:
         code = args.func(args)
         return 0 if code is None else int(code)
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return 2
-    except InvalidInputError as exc:
+    except (UsageError, InvalidInputError, InvalidShapeError) as exc:
         # invalid parameter combinations are the caller's to fix
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
-    except NeurisoError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (NeurisoError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -261,8 +261,8 @@ def _run_sweep_point(cfg, point, prob, sol, model):
         point["abs_distance"] = verdict.abs_distance
         point["active_blocks"] = len(sol.active_blocks)
         if sol.converged:
-            # recovery means the support collapses to the pass-through block
-            point["success"] = int(sol.active_blocks == [0])
+            # recovery means the active blocks are exactly the plant's blocks
+            point["success"] = int(verdict.support_match)
         else:
             point["note"] = "solver hit the iteration cap"
     except NeurisoError as exc:

@@ -63,18 +63,11 @@ def nic_linear(x, w_star, patterns):
 
 
 def nic_relu_single(x, w_star, patterns):
-    """lhs_j = ||X^T D_j D_i* X (X^T D_i* X)^{-1} w_hat||, i* the plant."""
-    mat = as_matrix(x)
-    what = unit(w_star)
-    grown = with_plants(mat, patterns, [what])
-    pm = pattern_of(mat, what).mask
-    mi = pm.astype(float)
-    gram = mat.T @ (mi[:, None] * mat)
-    sig = np.linalg.svd(gram, compute_uv=False)
-    if sig.size == 0 or sig[-1] <= 1e-12 * sig[0]:
-        raise DegenerateStackError("X^T D X is singular at the planted pattern")
-    lam = mi * (mat @ np.linalg.solve(gram, what))
-    return _assemble("NIC_1", mat, grown, lam, [grown.index(pm)])
+    """lhs_j = ||X^T D_j D_i* X (X^T D_i* X)^{-1} w_hat||, i* the plant: the
+    plain `nic_multi` with the one plant (w_star, +1)."""
+    report = nic_multi(x, [(w_star, 1.0)], patterns, normalized=False)
+    report.kind = "NIC_1"
+    return report
 
 
 def normalized_target(sv, w):
@@ -126,7 +119,8 @@ def nic_multi(x, plant, patterns, normalized):
         return _assemble("NNIC_K", mat, grown, lam, pidx, normalized=True)
     blocks = [mat.T * pm.astype(float)[None, :] for pm in pmasks]
     lam = stacked_pinv_apply(blocks, np.concatenate([r * unit(w) for w, r in plant]))
-    return _assemble("NIC_K", mat, grown, lam, pidx)
+    # the least-norm lam lives on the planted rows: zero its SVD rounding off them
+    return _assemble("NIC_K", mat, grown, lam * np.any(pmasks, axis=0), pidx)
 
 
 def snic_orth(x, patterns):

@@ -27,8 +27,10 @@ def as_matrix(x):
 
 
 def unit(w):
-    """w scaled to unit Euclidean norm; the zero vector is rejected."""
+    """w scaled to unit Euclidean norm; a zero or non-finite vector is rejected."""
     w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise InvalidInputError("weight vector needs finite entries")
     nrm = np.linalg.norm(w)
     if nrm == 0.0:
         raise InvalidInputError("weight vector must be nonzero")

@@ -171,15 +171,6 @@ def _cone_gap(c, w):
     return float(np.max(np.maximum(-(c @ w), 0.0), initial=0.0))
 
 
-def _sum_sq(first, norms):
-    # first^2 plus each norm^2 added from the left, as a loop over the blocks;
-    # Python floats square by np.float64's C pow but raise where it gives inf
-    total = 0.0
-    for v in [float(first)] + norms.tolist():
-        total += v**2 if v < 1e154 else float(np.float64(v)**2)
-    return total
-
-
 # a module-level name so the benchmark's tracer can wrap it by name
 def cho_factor(a):
     from scipy.linalg import cho_factor
@@ -227,7 +218,7 @@ def _admm(blocks, y, cones, opts):
         by_block = [(ids, np.stack([blocks[j] for j in ids]),
                      np.stack([qinv_at[j] for j in ids]), idx[..., None])
                     for ids, idx in cols.groups]
-        by_cone = [(ids, np.stack([cones[j] for j in coned[ids]]),
+        by_cone = [(np.stack([cones[j] for j in coned[ids]]),
                     np.stack([np.r_[sl[j]] for j in coned[ids]])[..., None], ridx[..., None])
                    for ids, ridx in rows.groups]
         # potrs on the factor is what cho_solve runs after its checks, here on
@@ -237,7 +228,7 @@ def _admm(blocks, y, cones, opts):
 
         def project(z, u, dual=False):
             q = z - u
-            for _, cs, idx, ridx in by_cone:
+            for cs, idx, ridx in by_cone:
                 q[idx] += cs.swapaxes(1, 2) @ (slack[ridx] - scaled[ridx])
             for fc, lower, idx in solves:
                 q[idx] = dpotrs(fc, q[idx], lower=lower)[0]
@@ -266,22 +257,24 @@ def _admm(blocks, y, cones, opts):
         z_prev = z
         z = _soft_blocks(w + u, cols, 1.0 / rho)
         u = u + w - z
-        # sqrt(v.dot(v)) is np.linalg.norm's own code for a vector
-        pr, dr, du = (math.sqrt(v.dot(v)) for v in (w - z, z - z_prev, u))
+        # squared norms of the primal (w - z, Cw - s), dual (z - z_prev,
+        # C^T (s - s_prev)) and multiplier (u, v) residuals. They feed only the
+        # stopping, stall and rho tests, never an iterate, so their summation
+        # order is free; sqrt(v.dot(v)) is np.linalg.norm's code for a vector
+        pr, dr, du = (v.dot(v) for v in (w - z, z - z_prev, u))
         if coned.size:
             cw = np.empty(rows.total)
-            for _, cs, idx, ridx in by_cone:
+            for cs, idx, ridx in by_cone:
                 cw[ridx] = cs @ w[idx]
             s_new = np.maximum(0.0, cw + scaled)
-            moved = np.empty(coned.size)
-            for ids, cs, _, ridx in by_cone:
-                moved[ids] = _row_norms((cs.swapaxes(1, 2) @ (s_new - slack)[ridx])[..., 0])
+            for cs, _, ridx in by_cone:
+                moved = cs.swapaxes(1, 2) @ (s_new - slack)[ridx]
+                dr += np.vdot(moved, moved)
             scaled = scaled + cw - s_new
-            pr = np.sqrt(_sum_sq(pr, _block_norms(cw - s_new, rows)))
-            dr = np.sqrt(_sum_sq(dr, moved))
-            du = np.sqrt(_sum_sq(du, _block_norms(scaled, rows)))
+            pr += (cw - s_new).dot(cw - s_new)
+            du += scaled.dot(scaled)
             slack = s_new
-        dr = rho * dr
+        pr, dr, du = math.sqrt(pr), rho * math.sqrt(dr), math.sqrt(du)
         pr_rel = pr / max(1.0, math.sqrt(w.dot(w)), math.sqrt(z.dot(z)))
         dr_rel = dr / max(1.0, rho * du)
         if max(pr_rel, dr_rel) < opts.tol:

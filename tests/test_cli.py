@@ -67,6 +67,8 @@ def test_usage_errors_exit_2(capsys):
                      "--n", "10", "--d", "3"]) == 2
     # a zero threshold used to fall back to the 1e-4 default in one-shot commands
     assert dispatch(["solve", "--n", "10", "--d", "3", "--tol", "0"]) == 2
+    # a Haar matrix needs n >= d; the shape error used to exit 1
+    assert dispatch(["solve", "--n", "5", "--d", "10", "--ensemble", "haar"]) == 2
     # non-finite theory inputs used to print nan or a made-up binding
     for extra in (["threshold", "--n", "100", "--d", "3", "--sigma2", "nan"],
                   ["threshold", "--n", "100", "--d", "3", "--sigma2", "inf"],

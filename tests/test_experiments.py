@@ -196,6 +196,20 @@ def test_beta_sweep_zero_matches_min_norm():
     assert int(sol.active_blocks == [0]) == pt.success
 
 
+def test_beta_sweep_credits_a_relu_plant():
+    # success used to mean "only the pass-through block is active", which a
+    # relu plant, planted on a pattern block, never meets
+    cfg = ex.GridConfig(d_values=(5,), n_values=(30,), trials=3, plant="relu",
+                        program="reg_grelu_skip", sigmas=(0.0,), betas=(0.0, 2.0),
+                        master_seed=1)
+    by_beta = {}
+    for p in ex.run_beta_sweep(cfg):
+        by_beta.setdefault(p.beta, []).append(p)
+    assert [p.success for p in by_beta[0.0]] == [1, 1, 1]
+    assert all(p.active_blocks == 1 and p.abs_distance < 1e-6 for p in by_beta[0.0])
+    assert [p.success for p in by_beta[2.0]] == [0, 0, 0]
+
+
 def per_point_sweep(cfg):
     # the pipeline a sweep path replaced: a fresh cell and program per point
     (d,), (n,) = cfg.d_values, cfg.n_values

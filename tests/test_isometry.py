@@ -197,6 +197,47 @@ def test_multi_k1_matches_single():
     assert np.linalg.norm(nsingle.lam - nmulti.lam) < 1e-9
 
 
+def test_relu_single_is_the_one_plant_multi():
+    # NIC_1 used to solve the normal equations X^T D X v = w_hat, which left a
+    # planted residual of 6e-11 here and a max_lhs 2e-8 off nic_multi's
+    x = ens.gen_matrix("gaussian", 20, 10, seed=1)
+    w = np.random.default_rng(289).standard_normal(10)
+    ps = arr.sample_patterns(x.mat, 50, seed=0)
+    single = iso.nic_relu_single(x, w, ps)
+    multi = iso.nic_multi(x, [(w, 1.0)], ps, normalized=False)
+    assert single.kind == "NIC_1"
+    assert single.max_lhs == multi.max_lhs
+    assert [(tuple(m), v) for m, v in single.per_pattern] == \
+        [(tuple(m), v) for m, v in multi.per_pattern]
+    planted = single.per_pattern[single.planted_indices[0]][0]
+    what = w / np.linalg.norm(w)
+    assert np.linalg.norm((planted[:, None] * x.mat).T @ single.lam - what) < 1e-12
+
+
+DIRECTION_CHECKS = {
+    "nic_linear": lambda x, w, ps: iso.nic_linear(x, w, ps),
+    "nic_relu_single": lambda x, w, ps: iso.nic_relu_single(x, w, ps),
+    "nnic_single": lambda x, w, ps: iso.nnic_single(x, w, ps),
+    "nic_multi_plain": lambda x, w, ps: iso.nic_multi(x, [(w, 1.0)], ps, normalized=False),
+    "nic_multi_normalized": lambda x, w, ps: iso.nic_multi(x, [(w, 1.0)], ps,
+                                                           normalized=True),
+    "certificate_relu": lambda x, w, ps: sol.build_certificate(x, ps, [(w, 1.0)], "relu"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("check", DIRECTION_CHECKS)
+def test_nonfinite_direction_fails_fast(check, bad):
+    # a nan entry used to give a nan max_lhs or a DegenerateStackError, and an
+    # inf entry a nan max_lhs or a non-strict certificate
+    x = ens.gen_matrix("gaussian", 30, 5, seed=3)
+    ps = arr.sample_patterns(x.mat, 40, seed=0)
+    w = ens.plant_direction(x, seed=4)
+    w[2] = bad
+    with pytest.raises(InvalidInputError, match="finite"):
+        DIRECTION_CHECKS[check](x, w, ps)
+
+
 def test_multi_disjoint_pair_reduces_to_correlation_with_y():
     x = ens.gen_matrix("gaussian", 40, 6, seed=12)
     w = ens.plant_direction(x, seed=13)

@@ -229,30 +229,6 @@ def test_stacked_soft_threshold_equals_one_row_at_a_time(blocks, picks):
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
-def float64_sum_sq(first, norms):
-    # the loop _sum_sq replaced: np.float64 squares added from the left
-    total = float(np.float64(first)**2)
-    for v in norms:
-        total += float(v**2)
-    return total
-
-
-# zero, subnormals, and magnitudes whose squares near the float range's ends
-# (squares past 1.34e154 overflow, which Python floats raise on)
-NORMS = (st.just(0.0) | st.floats(0.0, 2.2250738585072014e-308)
-         | st.floats(1e-160, 1e-140) | st.floats(1e140, 1e160) | st.floats(0.0, 1e3))
-
-
-@settings(max_examples=300, deadline=None)
-@given(NORMS, st.lists(NORMS, max_size=30))
-def test_sum_sq_equals_the_float64_loop(first, norms):
-    norms = np.array(norms, dtype=float)
-    with np.errstate(over="ignore"):
-        got, want = sol._sum_sq(first, norms), float64_sum_sq(first, norms)
-    assert type(got) is float
-    assert np.float64(got).tobytes() == np.float64(want).tobytes()
-
-
 def one_beta_fista(p, beta, opts):
     # the one-beta loop the lockstep path replaced, counting momentum restarts
     cols = sol._columns([np.shape(b)[1] for b in p.blocks])
