@@ -215,9 +215,9 @@ def test_relu_single_is_the_one_plant_multi():
 
 
 DIRECTION_CHECKS = {
-    "nic_linear": lambda x, w, ps: iso.nic_linear(x, w, ps),
-    "nic_relu_single": lambda x, w, ps: iso.nic_relu_single(x, w, ps),
-    "nnic_single": lambda x, w, ps: iso.nnic_single(x, w, ps),
+    "nic_linear": iso.nic_linear,
+    "nic_relu_single": iso.nic_relu_single,
+    "nnic_single": iso.nnic_single,
     "nic_multi_plain": lambda x, w, ps: iso.nic_multi(x, [(w, 1.0)], ps, normalized=False),
     "nic_multi_normalized": lambda x, w, ps: iso.nic_multi(x, [(w, 1.0)], ps,
                                                            normalized=True),
