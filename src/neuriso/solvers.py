@@ -142,13 +142,15 @@ def _block_norms(v, cols):
     return out
 
 
-def _soft_blocks(v, cols, t):
+def _soft_blocks(v, cols, t, out=None):
     # a row v or an (m, total) stack of rows, and thresholds t: a scalar or an
-    # (m, 1) column. Blocks above t scale by 1 - t/nv in a masked multiply, the
-    # rest stay +0.0; only kept blocks, whose norms are positive, divide. One
-    # width group works on (..., k, w) views; take gathers the others in C
-    # order, so each block's norm reads it unit-stride as a lone row does
-    out, whole = np.zeros(v.shape), len(cols.groups) == 1
+    # (m, 1) column, into out, zero-filled, or a new array. Blocks above t scale
+    # by 1 - t/nv in a masked multiply, the rest stay +0.0; only kept blocks,
+    # whose norms are positive, divide. One width group works on (..., k, w)
+    # views; take gathers the others in C order, so each block's norm reads it
+    # unit-stride as a lone row does
+    out, whole = np.empty(v.shape) if out is None else out, len(cols.groups) == 1
+    out.fill(0.0)
     for _, idx in cols.groups:
         seg = v.reshape(v.shape[:-1] + idx.shape) if whole else v.take(idx, axis=-1)
         nv = _row_norms(seg)
@@ -184,6 +186,7 @@ def _admm(blocks, y, cones, opts):
     # Q^-1 (z - u + C^T (s - v)) and mu = (A Q^-1 A^T)^+ (A q - y), it is
     # w = q - Q^-1 A^T mu. With no cones Q = I and the compact SVD U S V^T
     # of A gives w = q - V (U^T t)/s and mu = U (U^T t)/s^2 directly.
+    # Buffers are allocated once per solve; out= keeps each step's kernel and bits.
     cols = _columns([b.shape[1] for b in blocks])
     sl = cols.slices
     a = np.hstack(blocks)
@@ -193,12 +196,21 @@ def _admm(blocks, y, cones, opts):
     coned = np.array([j for j, c in enumerate(cones) if c is not None], dtype=int)
     # slacks and scaled multipliers of every cone row, stacked block by block
     rows = _columns([cones[j].shape[0] for j in coned], [cones[j].shape for j in coned])
-    slack = np.zeros(rows.total)
-    scaled = np.zeros(rows.total)
+    z, z_prev, u, w, tmp = (np.zeros(cols.total) for _ in range(5))
+    slack, s_new, scaled, cw, rtmp = (np.zeros(rows.total) for _ in range(5))
 
     if coned.size:
-        from scipy.linalg import cho_solve
         from scipy.linalg.lapack import dpotrs
+
+        def runs(ids, *lists):  # (run, its slice of ids, that slice of each list's stack)
+            st = [np.stack([m[j] for j in ids]) for m in lists]
+            cut = [0, *np.flatnonzero(np.diff(ids) != 1) + 1, len(ids)]
+            return [(ids[s], s, *(m[s] for m in st)) for s in map(slice, cut, cut[1:])]
+
+        def span(buf, spans, run):  # a run of equal-width parts of buf, (k, w, 1)
+            first, last = spans[run[0]], spans[run[-1]]
+            return buf[first.start:last.stop].reshape(len(run), first.stop - first.start, 1)
+
         # one factor per distinct cone metric Q_j = I + C_j^T C_j, keyed by its
         # shape and bytes: relu_skip_cone's cones are row-sign flips of X, which
         # square away in gemm, so every pattern there shares I + X^T X
@@ -209,71 +221,76 @@ def _admm(blocks, y, cones, opts):
                 k = key[id(c)] = (q.shape, q.tobytes())
                 if k not in fac:
                     fac[k] = cho_factor(q)
-        qinv_at = [b.T if c is None else cho_solve(fac[key[id(c)]], b.T)
-                   for b, c in zip(blocks, cones)]
-        msv = compact_svd(sum(b @ m for b, m in zip(blocks, qinv_at)))
-        # Blocks are stacked per width and cones per shape, indexed (k, w, 1).
-        # np.stack keeps a memory order its members share, as a program's do,
-        # so matmul gives each slice the gemv its member alone gets: same bits.
-        by_block = [(ids, np.stack([blocks[j] for j in ids]),
-                     np.stack([qinv_at[j] for j in ids]), idx[..., None])
-                    for ids, idx in cols.groups]
-        by_cone = [(np.stack([cones[j] for j in coned[ids]]),
-                    np.stack([np.r_[sl[j]] for j in coned[ids]])[..., None], ridx[..., None])
-                   for ids, ridx in rows.groups]
-        # potrs on the factor is what cho_solve runs after its checks, here on
-        # the blocks sharing it as columns; zero-width blocks need no solve
-        solves = [fac[k] + (np.stack([np.r_[sl[j]] for j in coned if key[id(cones[j])] == k], 1),)
-                  for k in fac if k[0] != (0, 0)]
+        # potrs, cho_solve's solve, on a factor's blocks as columns: once on their
+        # stacked A_j^T, then on each run of them in w. Zero-width ones need none.
+        qinv_at, solves = dict(enumerate(b.T for b in blocks)), []
+        for k, (fc, lower) in fac.items():
+            ids = np.array([j for j in coned if key[id(cones[j])] == k])
+            if k[0] != (0, 0):
+                at = dpotrs(fc, np.vstack([blocks[j] for j in ids]).T, lower=lower)[0]
+                qinv_at.update(zip(ids, np.split(at, len(ids), axis=1)))
+                solves += [(fc, lower, span(w, sl, r)[..., 0].T) for r, _ in runs(ids)]
+        msv = compact_svd(sum(b @ qinv_at[j] for j, b in enumerate(blocks)))
+        # block products below a +0.0 row, summed down in block order as sum()
+        # adds them; a spare zero column stops numpy summing pairwise at n = 1
+        prods, psum = np.zeros((len(blocks) + 1, y.size + 1, 1)), np.empty((y.size + 1, 1))
+        # Blocks are stacked per width and cones per shape; each run of blocks
+        # takes its part of the stack beside its (k, w, 1) views of the buffers.
+        # np.stack keeps a memory order its members share, as a program's do, so
+        # matmul gives each slice the gemv its member alone gets: same bits.
+        by_block = [(bs, ms, prods[r[0] + 1:r[-1] + 2, :-1], span(w, sl, r), span(tmp, sl, r))
+                    for ids, _ in cols.groups for r, _, bs, ms in runs(ids, blocks, qinv_at)]
+        by_cone = [(cs, cs.swapaxes(1, 2), span(w, sl, r), span(tmp, sl, r),
+                    span(rtmp, rows.slices, ids[s]), span(cw, rows.slices, ids[s]))
+                   for ids, _ in rows.groups for r, s, cs in runs(coned[ids], cones)]
+        by_shape = [[span(tmp, sl, r) for r, _ in runs(coned[ids])] for ids, _ in rows.groups]
 
         def project(z, u, dual=False):
-            q = z - u
-            for cs, idx, ridx in by_cone:
-                q[idx] += cs.swapaxes(1, 2) @ (slack[ridx] - scaled[ridx])
-            for fc, lower, idx in solves:
-                q[idx] = dpotrs(fc, q[idx], lower=lower)[0]
-            # block products added from +0.0 in block order, as sum() adds them
-            prods = np.zeros((len(blocks) + 1, y.size, 1))
-            for ids, bs, _, idx in by_block:
-                prods[ids + 1] = bs @ q[idx]
-            mu = msv.u @ ((msv.u.T @ (np.cumsum(prods, axis=0)[-1, :, 0] - y)) / msv.s)
-            for _, _, ms, idx in () if dual else by_block:
-                q[idx] -= ms @ mu[:, None]
-            return mu if dual else q
+            np.subtract(z, u, out=w)
+            np.subtract(slack, scaled, out=rtmp)
+            for _, cst, wv, tv, rv, _ in by_cone:
+                np.add(wv, np.matmul(cst, rv, out=tv), out=wv)
+            for fc, lower, wv in solves:
+                dpotrs(fc, wv, lower=lower, overwrite_b=1)
+            for bs, _, pv, wv, _ in by_block:
+                np.matmul(bs, wv, out=pv)
+            ut = msv.u.T @ (prods.sum(axis=0, out=psum)[:-1, 0] - y)
+            mu = msv.u @ (ut / msv.s)
+            for _, ms, _, wv, tv in () if dual else by_block:
+                np.subtract(wv, np.matmul(ms, mu[:, None], out=tv), out=wv)
+            return mu if dual else w
     else:
         def project(z, u, dual=False):
-            v = z - u
-            ut = sv.u.T @ (a @ v - y)
-            return sv.u @ (ut / sv.s**2) if dual else v - sv.v @ (ut / sv.s)
+            np.subtract(z, u, out=w)
+            ut = sv.u.T @ (a @ w - y)
+            return sv.u @ (ut / sv.s**2) if dual else np.subtract(w, sv.v @ (ut / sv.s), out=w)
 
-    z = np.zeros(cols.total)
-    u = np.zeros(cols.total)
     rho = 1.0  # ADMM penalty start, rebalanced in flight
     it = 0
-    pr_rel = dr_rel = np.inf
-    stall_ref = np.inf
+    pr_rel = dr_rel = stall_ref = np.inf
     for it in range(1, opts.max_iter + 1):
-        w = project(z, u)
-        z_prev = z
-        z = _soft_blocks(w + u, cols, 1.0 / rho)
-        u = u + w - z
+        project(z, u)
+        z, z_prev = z_prev, z
+        _soft_blocks(np.add(w, u, out=tmp), cols, 1.0 / rho, out=z)
+        np.subtract(np.add(u, w, out=u), z, out=u)  # (u + w) - z; u + (w - z) moves bits
         # squared norms of the primal (w - z, Cw - s), dual (z - z_prev,
         # C^T (s - s_prev)) and multiplier (u, v) residuals. They feed only the
-        # stopping, stall and rho tests, never an iterate, so their summation
-        # order is free; sqrt(v.dot(v)) is np.linalg.norm's code for a vector
-        pr, dr, du = (v.dot(v) for v in (w - z, z - z_prev, u))
+        # stopping, stall and rho tests and dual_residual, never an iterate;
+        # sqrt(v.dot(v)) is np.linalg.norm's code for a vector
+        pr, dr, du = (v.dot(v) for v in (
+            np.subtract(w, z, out=tmp), np.subtract(z, z_prev, out=z_prev), u))
         if coned.size:
-            cw = np.empty(rows.total)
-            for cs, idx, ridx in by_cone:
-                cw[ridx] = cs @ w[idx]
-            s_new = np.maximum(0.0, cw + scaled)
-            for cs, _, ridx in by_cone:
-                moved = cs.swapaxes(1, 2) @ (s_new - slack)[ridx]
+            for cs, _, wv, _, _, cv in by_cone:
+                np.matmul(cs, wv, out=cv)
+            np.subtract(np.maximum(0.0, cw + scaled, out=s_new), slack, out=rtmp)
+            for _, cst, _, tv, rv, _ in by_cone:
+                np.matmul(cst, rv, out=tv)
+            for moved in map(np.concatenate, by_shape):  # per cone shape, as before
                 dr += np.vdot(moved, moved)
-            scaled = scaled + cw - s_new
-            pr += (cw - s_new).dot(cw - s_new)
+            np.subtract(np.add(scaled, cw, out=scaled), s_new, out=scaled)
+            pr += np.subtract(cw, s_new, out=rtmp).dot(rtmp)
             du += scaled.dot(scaled)
-            slack = s_new
+            slack, s_new = s_new, slack
         pr, dr, du = math.sqrt(pr), rho * math.sqrt(dr), math.sqrt(du)
         pr_rel = pr / max(1.0, math.sqrt(w.dot(w)), math.sqrt(z.dot(z)))
         dr_rel = dr / max(1.0, rho * du)
@@ -475,11 +492,12 @@ def solve_cone_constrained(p, opts=None):
     Entries of `cones` may be None for unconstrained blocks, e.g. a skip
     block; with every entry None this is `solve_group_min_norm` bit for bit.
     Cone rows get nonnegative slacks, so the w-step projects onto the
-    equality set in the metric Q_j = I + C_j^T C_j: one Cholesky factor per
-    distinct cone metric (relu_skip_cone's patterns all share I + X^T X),
-    and the multiplier from a compact SVD of the n x n
-    sum_j A_j Q_j^-1 A_j^T built up front. Cones that cannot meet the target stall the constraint
-    residual, which raises InfeasibleError. beta must be 0.
+    equality set in the metric Q_j = I + C_j^T C_j. The set-up factors each
+    distinct cone metric once (relu_skip_cone's patterns all share I + X^T X),
+    forms Q^-1 A^T with one potrs per factor over its blocks' stacked A_j^T,
+    and takes the multiplier from a compact SVD of the n x n sum_j A_j Q_j^-1 A_j^T.
+    Cones that cannot meet the target stall the constraint residual, which
+    raises InfeasibleError. beta must be 0.
     """
     blocks, y, cones = _check_problem(p)
     if p.beta != 0.0:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from neuriso import arrangements as arr
@@ -36,6 +37,22 @@ def test_matrix_determinism():
 def test_tall_factor_needs_enough_rows(kind):
     with pytest.raises(InvalidShapeError):
         ens.gen_matrix(kind, 3, 5, seed=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(ens.MATRIX_KINDS), n=st.integers(1, 30), d=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_gen_matrix_shape_finiteness_determinism_and_orthonormality(kind, n, d, seed):
+    factor = kind in ("haar", "whitened_cubic")
+    if factor and n < d:
+        with pytest.raises(InvalidShapeError):
+            ens.gen_matrix(kind, n, d, seed=seed)
+        return
+    x = ens.gen_matrix(kind, n, d, seed=seed).mat
+    assert x.shape == (n, d) and np.isfinite(x).all()
+    assert x.tobytes() == ens.gen_matrix(kind, n, d, seed=seed).mat.tobytes()
+    if factor:
+        assert np.max(np.abs(x.T @ x - np.eye(d))) < 1e-12
 
 
 def test_unknown_kind():

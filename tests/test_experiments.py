@@ -181,7 +181,7 @@ def test_beta_sweep_rows_and_endpoints():
 
 
 def test_beta_sweep_zero_matches_min_norm():
-    from neuriso.recovery import build_program
+    from neuriso.recovery import assess_recovery, build_program
     from neuriso.solvers import solve_group_min_norm
 
     cfg = sweep_cfg(betas=(0.0,))
@@ -192,8 +192,9 @@ def test_beta_sweep_zero_matches_min_norm():
     assert inst.seed == pt.seed
     prob = build_program(inst.x, inst.patterns, inst.y, "reg_grelu_skip", beta=0.0)
     sol = solve_group_min_norm(prob)
+    verdict = assess_recovery(sol, inst.model, prob, tol=cfg.success_tol)
     assert len(sol.active_blocks) == pt.active_blocks
-    assert int(sol.active_blocks == [0]) == pt.success
+    assert int(sol.converged and verdict.support_match) == pt.success
 
 
 def test_beta_sweep_credits_a_relu_plant():
@@ -221,22 +222,28 @@ def per_point_sweep(cfg):
                 _, sol, verdict = ex.solve_program(cfg, inst, beta)
                 rows.append(dict(
                     d=d, n=n, sigma=sigma, beta=beta, trial=trial, seed=inst.seed,
-                    success=int(sol.converged and sol.active_blocks == [0]),
+                    success=int(sol.converged and verdict.support_match),
                     active_blocks=len(sol.active_blocks),
                     abs_distance=verdict.abs_distance,
                     note="" if sol.converged else "solver hit the iteration cap"))
     return rows
 
 
-@pytest.mark.parametrize("master_seed", [0, 2])
-def test_beta_sweep_paths_equal_the_per_point_pipeline(master_seed):
+@pytest.mark.parametrize("master_seed,plant,n", [
+    pytest.param(0, "linear", 20, id="0"), pytest.param(2, "linear", 20, id="2"),
+    pytest.param(1, "relu", 30, id="relu")])
+def test_beta_sweep_paths_equal_the_per_point_pipeline(master_seed, plant, n):
+    # a relu plant is planted on a pattern block, so its beta = 0 successes
+    # tell the support rule from "only the pass-through block is active"
     cfg = sweep_cfg(sigmas=(0.0, 0.1), betas=(0.0, 0.02, 0.3), trials=2,
-                    master_seed=master_seed)
+                    master_seed=master_seed, plant=plant, n_values=(n,))
     pts = ex.run_beta_sweep(cfg)
     got = [{f.name: getattr(p, f.name) for f in fields(ex.SweepPoint)
             if f.name != "wall_ms"} for p in pts]
     assert got == per_point_sweep(cfg)
     assert all(p.wall_ms > 0.0 for p in pts)
+    if plant == "relu":
+        assert any(p.success for p in pts if p.beta == 0.0)
 
 
 def test_sweep_points_share_their_path_wall_time(monkeypatch):

@@ -89,6 +89,29 @@ def test_build_program_shapes():
         rec.build_program(x, ps, y, "nope")
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10), d=st.integers(1, 4), count=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1), program=st.sampled_from(rec.PROGRAMS))
+def test_layout_maps_every_pattern_to_its_blocks(n, d, count, seed, program):
+    x = ens.gen_matrix("gaussian", n, d, seed=seed).mat
+    ps = arr.sample_patterns(x, count, seed=seed + 1)
+    beta = 0.5 if program == "reg_grelu_skip" else 0.0
+    prob = rec.build_program(x, ps, np.ones(n), program, beta=beta)
+    lay = prob.layout
+    p = len(ps.patterns)
+    assert len(prob.blocks) == int(lay.skip) + (2 if lay.paired else 1) * p
+    for j, m in enumerate(ps.masks):
+        if lay.bases is not None:  # normalized: the pattern's basis
+            block = lay.bases[j].u
+        else:  # gated: the pattern's mask on X, or on X's whitened basis
+            base = x if lay.whitening is None else lay.whitening.u
+            block = m[:, None] * base
+        for neg in ((False, True) if lay.paired else (False,)):
+            b = lay.block(j, neg)
+            assert lay.pattern(b) == (j, neg)
+            assert np.array_equal(prob.blocks[b], -block if neg else block)
+
+
 # ---------------------------------------------------------------- assessment
 
 

@@ -198,9 +198,12 @@ def test_batched_block_kernels_equal_a_per_block_loop(blocks, t, tie):
         start += w
     cols = sol._columns(widths)
     assert sol._block_norms(v, cols).tobytes() == np.array(norms).tobytes()
+    dirty = np.full(v.shape, np.nan)  # out is zero-filled before it is written
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # t = 0 over a zero block divides nothing
         assert sol._soft_blocks(v, cols, t).tobytes() == soft.tobytes()
+        assert sol._soft_blocks(v, cols, t, out=dirty) is dirty
+    assert dirty.tobytes() == soft.tobytes()
 
 
 # per row: a threshold, or the index of a block whose norm is the threshold
@@ -225,8 +228,10 @@ def test_stacked_soft_threshold_equals_one_row_at_a_time(blocks, picks):
         warnings.simplefilter("error")  # t = 0 over a zero block divides nothing
         got = sol._soft_blocks(v, cols, np.array(t)[:, None])
         want = [sol._soft_blocks(row, cols, th) for row, th in zip(v, t)]
+        dirty = sol._soft_blocks(v, cols, np.array(t)[:, None], out=np.full(v.shape, -7.0))
     assert got.shape == v.shape
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert dirty.tobytes() == got.tobytes()
 
 
 def one_beta_fista(p, beta, opts):
@@ -388,6 +393,8 @@ def test_cone_solver_detects_joint_infeasibility():
     y = np.maximum(x.mat @ w_star, 0.0)
     with pytest.raises(InfeasibleError):
         sol.solve_cone_constrained(sol.GroupProblem(blocks=blocks, target=y, cones=cones))
+    with pytest.raises(InfeasibleError):
+        reference_admm(blocks, y, cones, sol.SolverOptions())
 
 
 def test_cone_solver_skip_recovery():
@@ -501,6 +508,186 @@ def test_shared_cone_factor_keeps_every_bit():
         assert shared.iterations == single.iterations, name
         assert all(np.array_equal(a, b) for a, b in zip(shared.weights, single.weights))
         assert np.array_equal(shared.dual, single.dual), name
+
+
+def reference_admm(blocks, y, cones, opts):
+    # _admm as it was before its work buffers: fresh arrays every iteration,
+    # one cho_solve per block for Q^-1 A^T and a zero-led cumsum of the block
+    # products; the buffered iteration must reproduce every byte of it
+    from scipy.linalg import cho_factor, cho_solve
+    from scipy.linalg.lapack import dpotrs
+    cols = sol._columns([b.shape[1] for b in blocks])
+    sl = cols.slices
+    a = np.hstack(blocks)
+    sv = sol.compact_svd(a)
+    if np.linalg.norm(y - sv.u @ (sv.u.T @ y)) > 1e-6 * (1.0 + np.linalg.norm(y)):
+        raise InfeasibleError("target is outside the span of the blocks")
+    coned = np.array([j for j, c in enumerate(cones) if c is not None], dtype=int)
+    rows = sol._columns([cones[j].shape[0] for j in coned], [cones[j].shape for j in coned])
+    slack = np.zeros(rows.total)
+    scaled = np.zeros(rows.total)
+
+    if coned.size:
+        key, fac = {}, {}
+        for c in cones:
+            if c is not None and id(c) not in key:
+                q = np.eye(c.shape[1]) + c.T @ c
+                k = key[id(c)] = (q.shape, q.tobytes())
+                if k not in fac:
+                    fac[k] = cho_factor(q)
+        qinv_at = [b.T if c is None else cho_solve(fac[key[id(c)]], b.T)
+                   for b, c in zip(blocks, cones)]
+        msv = sol.compact_svd(sum(b @ m for b, m in zip(blocks, qinv_at)))
+        by_block = [(ids, np.stack([blocks[j] for j in ids]),
+                     np.stack([qinv_at[j] for j in ids]), idx[..., None])
+                    for ids, idx in cols.groups]
+        by_cone = [(np.stack([cones[j] for j in coned[ids]]),
+                    np.stack([np.r_[sl[j]] for j in coned[ids]])[..., None], ridx[..., None])
+                   for ids, ridx in rows.groups]
+        solves = [fac[k] + (np.stack([np.r_[sl[j]] for j in coned if key[id(cones[j])] == k], 1),)
+                  for k in fac if k[0] != (0, 0)]
+
+        def project(z, u, dual=False):
+            q = z - u
+            for cs, idx, ridx in by_cone:
+                q[idx] += cs.swapaxes(1, 2) @ (slack[ridx] - scaled[ridx])
+            for fc, lower, idx in solves:
+                q[idx] = dpotrs(fc, q[idx], lower=lower)[0]
+            prods = np.zeros((len(blocks) + 1, y.size, 1))
+            for ids, bs, _, idx in by_block:
+                prods[ids + 1] = bs @ q[idx]
+            mu = msv.u @ ((msv.u.T @ (np.cumsum(prods, axis=0)[-1, :, 0] - y)) / msv.s)
+            for _, _, ms, idx in () if dual else by_block:
+                q[idx] -= ms @ mu[:, None]
+            return mu if dual else q
+    else:
+        def project(z, u, dual=False):
+            v = z - u
+            ut = sv.u.T @ (a @ v - y)
+            return sv.u @ (ut / sv.s**2) if dual else v - sv.v @ (ut / sv.s)
+
+    z = np.zeros(cols.total)
+    u = np.zeros(cols.total)
+    rho = 1.0
+    it = 0
+    pr_rel = dr_rel = np.inf
+    stall_ref = np.inf
+    for it in range(1, opts.max_iter + 1):
+        w = project(z, u)
+        z_prev = z
+        z = sol._soft_blocks(w + u, cols, 1.0 / rho)
+        u = u + w - z
+        pr, dr, du = (v.dot(v) for v in (w - z, z - z_prev, u))
+        if coned.size:
+            cw = np.empty(rows.total)
+            for cs, idx, ridx in by_cone:
+                cw[ridx] = cs @ w[idx]
+            s_new = np.maximum(0.0, cw + scaled)
+            for cs, _, ridx in by_cone:
+                moved = cs.swapaxes(1, 2) @ (s_new - slack)[ridx]
+                dr += np.vdot(moved, moved)
+            scaled = scaled + cw - s_new
+            pr += (cw - s_new).dot(cw - s_new)
+            du += scaled.dot(scaled)
+            slack = s_new
+        pr, dr, du = math.sqrt(pr), rho * math.sqrt(dr), math.sqrt(du)
+        pr_rel = pr / max(1.0, math.sqrt(w.dot(w)), math.sqrt(z.dot(z)))
+        dr_rel = dr / max(1.0, rho * du)
+        if max(pr_rel, dr_rel) < opts.tol:
+            break
+        if coned.size and it % 1000 == 0:
+            if (pr_rel > 1e-6 and dr_rel < opts.tol
+                    and abs(pr_rel - stall_ref) < 1e-9 * max(1.0, pr_rel)):
+                raise InfeasibleError("constraint residual stalled")
+            stall_ref = pr_rel
+        if it % 50 == 0 and max(pr_rel, dr_rel) > 10 * opts.tol:
+            if pr > 10 * dr and rho < 1e8:
+                rho *= 2.0
+                u /= 2.0
+                scaled /= 2.0
+            elif dr > 10 * pr and rho > 1e-8:
+                rho /= 2.0
+                u *= 2.0
+                scaled *= 2.0
+
+    lam = -rho * project(z, u, dual=True)
+    norms = sol._block_norms(z, cols).tolist()
+    return sol.BlockSolution(
+        weights=[z[s].copy() for s in sl], dual=lam, objective=float(sum(norms)),
+        primal_residual=float(np.linalg.norm(a @ z - y) / max(1.0, np.linalg.norm(y))),
+        dual_residual=float(dr_rel),
+        cone_violation=max((sol._cone_gap(cones[j], z[sl[j]]) for j in coned), default=0.0),
+        iterations=it, active_blocks=sol._active(norms),
+        converged=bool(max(pr_rel, dr_rel) < opts.tol))
+
+
+def bit_pin_problems():
+    # every layout _admm takes: relu_skip_cone's single runs, several width
+    # groups and factors with a rank-0 pattern, interleaved hand-built blocks
+    # whose groups need gathers, cone-free programs, and one row
+    probs = []
+    for d in (3, 5, 10):
+        x = ens.gen_matrix("gaussian", 5 * d, d, seed=d)
+        w = ens.plant_direction(x, seed=d + 1)
+        ps = arr.sample_patterns(x.mat, 2 * d, seed=d + 2)
+        probs.append(("relu_skip_cone d=%d" % d,
+                      rec.build_program(x, ps, x.mat @ w, "relu_skip_cone")))
+    probs += [(name, p) for name, p in cone_programs() if name == "relu_normal_cone"]
+    x = ens.gen_matrix("gaussian", 8, 3, seed=5)
+    w = ens.plant_direction(x, seed=6)
+    ps = arr.with_plants(x.mat, arr.sample_patterns(x.mat, 30, seed=7), [w])
+    zero = arr.ArrangementPattern(mask=np.zeros(8, dtype=np.uint8), witness=-w)
+    ps = arr.PatternSet(patterns=ps.patterns + [zero], contains_all_ones=False, sampled=True)
+    prob = rec.build_program(x, ps, np.maximum(x.mat @ w, 0.0), "relu_normal_cone")
+    assert {sv.rank for sv in prob.layout.bases} == {0, 2, 3}
+    probs.append(("relu_normal_cone ranks 0, 2, 3", prob))
+    # widths 2 and 3 interleaved, free and coned: the 2-wide cones share one
+    # metric across non-adjacent blocks, the 3-wide ones have two others, one
+    # of them with 3 rows against n = 12, so no group is one run of columns
+    rng = np.random.default_rng(23)
+    n = 12
+    f3, c2, f2, c3, c2b, c3b = (rng.standard_normal((n, k)) for k in (3, 2, 2, 3, 2, 3))
+    v2, v3 = np.array([1.0, -0.5]), np.array([0.3, 0.2, -0.4])
+    flip2 = (2.0 * (c2 @ v2 >= 0) - 1.0)[:, None] * c2
+    flip3 = (2.0 * (c3b @ v3 >= 0) - 1.0)[:, None] * c3b
+    blocks = [f3, c2, f2, c3, c2b, c3b]
+    cones = [None, flip2, None, np.eye(3), flip2, flip3]
+    y = f3 @ [1.0, 0.0, -1.0] + c2 @ v2 + c3 @ [0.5, 0.1, 0.2] + c3b @ v3
+    probs.append(("interleaved", sol.GroupProblem(blocks=blocks, target=y, cones=cones)))
+    # Fortran-order blocks and cones among C-order ones: np.stack picks a group's
+    # memory order from all its members, so each run must slice its group's stack
+    mixed = [np.asfortranarray(b) if j in (1, 5) else b for j, b in enumerate(blocks)]
+    probs.append(("interleaved, mixed order", sol.GroupProblem(
+        blocks=mixed, target=y, cones=cones[:4] + [np.asfortranarray(flip2), cones[5]])))
+    x = ens.gen_matrix("gaussian", 20, 4, seed=8)
+    w = ens.plant_direction(x, seed=9)
+    ps = arr.sample_patterns(x.mat, 20, seed=10)
+    for program in ("grelu_skip", "grelu_normal"):
+        probs.append((program, rec.build_program(x, arr.with_plants(x.mat, ps, [w]),
+                                                 np.maximum(x.mat @ w, 0.0), program)))
+    # numpy sums 8 or more products of one row pairwise unless told otherwise
+    one = [rng.standard_normal((1, k)) for k in (2, 3, 1, 3, 2, 1, 3, 2, 2, 3, 1, 2)]
+    cones = [None if j % 3 == 0 else np.eye(b.shape[1]) for j, b in enumerate(one)]
+    probs.append(("one row, cones", sol.GroupProblem(blocks=one, target=[2.0], cones=cones)))
+    probs.append(("one row", sol.GroupProblem(blocks=one, target=[2.0])))
+    return probs
+
+
+@pytest.mark.parametrize("max_iter", [1, 49, 50, 1000, 200_000])
+def test_buffered_admm_equals_the_reference_bit_for_bit(max_iter):
+    opts = sol.SolverOptions(max_iter=max_iter)
+    for name, prob in bit_pin_problems():
+        blocks, y, cones = sol._check_problem(prob)
+        want = reference_admm(blocks, y, cones or [None] * len(blocks), opts)
+        solve = sol.solve_group_min_norm if cones is None else sol.solve_cone_constrained
+        got = solve(prob, opts)
+        assert got.iterations == want.iterations, name
+        assert got.converged == want.converged, name
+        assert got.active_blocks == want.active_blocks, name
+        assert got.dual.tobytes() == want.dual.tobytes(), name
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got.weights, want.weights)), name
+        for f in ("objective", "primal_residual", "dual_residual", "cone_violation"):
+            assert np.float64(getattr(got, f)).tobytes() == np.float64(getattr(want, f)).tobytes(), (name, f)
 
 
 def test_certificate_defining_equation_and_nic_equivalence():
