@@ -285,7 +285,7 @@ def _admm(blocks, y, cones, opts):
             np.subtract(np.maximum(0.0, cw + scaled, out=s_new), slack, out=rtmp)
             for _, cst, _, tv, rv, _ in by_cone:
                 np.matmul(cst, rv, out=tv)
-            for moved in map(np.concatenate, by_shape):  # per cone shape, as before
+            for moved in map(np.concatenate, by_shape):  # per shape: dual_residual's bits
                 dr += np.vdot(moved, moved)
             np.subtract(np.add(scaled, cw, out=scaled), s_new, out=scaled)
             pr += np.subtract(cw, s_new, out=rtmp).dot(rtmp)
