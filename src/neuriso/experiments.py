@@ -13,7 +13,7 @@ import os
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/spans.py patches this name
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .ensembles import (MATRIX_KINDS, gen_matrix, gen_observation,
                         linear_plant, normalized_plant, plant_direction,
                         relu_plant)
 from .errors import InvalidInputError, NeurisoError, SchemaError
-from .isometry import nic_linear, nic_multi, nic_relu_single, nnic_single
+from .isometry import STRICT_MARGIN, nic_linear, nic_multi, nic_relu_single, nnic_single
 from .numerics import unit
 from .recovery import PROGRAMS, assess_recovery, build_program, test_distance
 from .solvers import (SolverOptions, solve_cone_constrained, solve_group_lasso,
@@ -224,11 +224,9 @@ def _run_cell(cfg, d, n, sigma, trial):
             # the certificate is diagnostic; its failure must not kill the cell
             row["note"] = _note_join(row["note"], "nic failed: %s" % exc)
         prob, sol, verdict = solve_program(cfg, inst, cfg.beta)
-        row["solver_iterations"] = sol.iterations
-        row["abs_distance"] = verdict.abs_distance
-        if sol.converged:
-            row["success"] = int(verdict.success)
-        else:
+        row.update(success=int(verdict.success), abs_distance=verdict.abs_distance,
+                   solver_iterations=sol.iterations)
+        if not sol.converged:
             row["note"] = _note_join(row["note"], "solver hit the iteration cap")
         try:
             x_test = gen_matrix(cfg.ensemble, n, d, seed=inst.test_seed).mat
@@ -252,18 +250,16 @@ def run_grid(cfg):
 
 
 def _run_sweep_point(cfg, point, prob, sol, model):
-    # one beta of a path judged against the plant, given its lasso solution;
-    # None stands for beta = 0, the min-norm endpoint, solved here
+    # one beta of a path, judged as the path's program at that beta, given its
+    # lasso solution; None stands for beta = 0, the min-norm endpoint, solved here
     try:
         if sol is None:
             sol = solve_group_min_norm(prob, cfg.solver)
-        verdict = assess_recovery(sol, model, prob, tol=cfg.success_tol)
-        point["abs_distance"] = verdict.abs_distance
-        point["active_blocks"] = len(sol.active_blocks)
-        if sol.converged:
-            # recovery means the active blocks are exactly the plant's blocks
-            point["success"] = int(verdict.support_match)
-        else:
+        verdict = assess_recovery(sol, model, replace(prob, beta=point["beta"]),
+                                  tol=cfg.success_tol)
+        point.update(success=int(verdict.success), abs_distance=verdict.abs_distance,
+                     active_blocks=len(sol.active_blocks))
+        if not sol.converged:
             point["note"] = "solver hit the iteration cap"
     except NeurisoError as exc:
         point["note"] = "%s: %s" % (type(exc).__name__, exc)
@@ -382,7 +378,8 @@ _VALUE_EXPRS = {
     "success": 'float(row["success"])',
     "abs_distance": 'float(row["abs_distance"])',
     "test_distance": 'float(row["test_distance"])',
-    "nic_rate": '1.0 if float(row["nic_max_lhs"]) < 1.0 else 0.0',
+    # NicReport.holds' rule: an exact tie that rounds below one does not hold
+    "nic_rate": '1.0 if float(row["nic_max_lhs"]) < %r else 0.0' % (1.0 - STRICT_MARGIN),
 }
 
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3

@@ -62,6 +62,8 @@ class NetworkWeights:
 
 @dataclass
 class RecoveryVerdict:
+    """`assess_recovery`'s judgment; `success` is the one recovery rule."""
+
     success: bool
     abs_distance: float
     support_match: bool
@@ -203,13 +205,12 @@ def _plant_targets(plant, layout):
 def assess_recovery(sol, plant, prob, tol=1e-4):
     """Judge a block solution of `prob` against the planted model.
 
-    Success requires the active set to equal the planted block set and the
-    stacked weight distance to fall below tol relative to the plant's own
-    block norm, both read in the program's own block coordinates.
+    Success needs a converged solve whose active set is the planted block set
+    and, at beta = 0 only, a stacked weight distance below tol relative to the
+    plant's own block norm, both read in the program's own block coordinates.
     """
     targets = _plant_targets(plant, _layout(sol, prob))
-    gap = 0.0
-    scale = 0.0
+    gap = scale = 0.0
     for b, vec in targets.items():
         if sol.weights[b].shape != vec.shape:
             raise InvalidInputError("block %d does not hold the plant's coordinates" % b)
@@ -219,9 +220,9 @@ def assess_recovery(sol, plant, prob, tol=1e-4):
     planted = sorted(targets)
     support = sorted(sol.active_blocks) == planted
     extras = len(set(sol.active_blocks) - set(planted))
-    success = support and dist < tol * np.sqrt(scale)
-    return RecoveryVerdict(success=success, abs_distance=dist,
-                           support_match=support, extras=extras)
+    close = prob.beta > 0.0 or dist < tol * np.sqrt(scale)
+    return RecoveryVerdict(success=bool(sol.converged and support and close),
+                           abs_distance=dist, support_match=support, extras=extras)
 
 
 def test_distance(sol, plant, prob, x_test):

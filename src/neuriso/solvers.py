@@ -190,9 +190,6 @@ def _admm(blocks, y, cones, opts):
     cols = _columns([b.shape[1] for b in blocks])
     sl = cols.slices
     a = np.hstack(blocks)
-    sv = compact_svd(a)
-    if np.linalg.norm(y - sv.u @ (sv.u.T @ y)) > 1e-6 * (1.0 + np.linalg.norm(y)):
-        raise InfeasibleError("target is outside the span of the blocks")
     coned = np.array([j for j, c in enumerate(cones) if c is not None], dtype=int)
     # slacks and scaled multipliers of every cone row, stacked block by block
     rows = _columns([cones[j].shape[0] for j in coned], [cones[j].shape for j in coned])
@@ -230,7 +227,8 @@ def _admm(blocks, y, cones, opts):
                 at = dpotrs(fc, np.vstack([blocks[j] for j in ids]).T, lower=lower)[0]
                 qinv_at.update(zip(ids, np.split(at, len(ids), axis=1)))
                 solves += [(fc, lower, span(w, sl, r)[..., 0].T) for r, _ in runs(ids)]
-        msv = compact_svd(sum(b @ qinv_at[j] for j, b in enumerate(blocks)))
+        # the Schur system spans A's columns, so its SVD serves the range check too
+        sv = compact_svd(sum(b @ qinv_at[j] for j, b in enumerate(blocks)))
         # block products below a +0.0 row, summed down in block order as sum()
         # adds them; a spare zero column stops numpy summing pairwise at n = 1
         prods, psum = np.zeros((len(blocks) + 1, y.size + 1, 1)), np.empty((y.size + 1, 1))
@@ -254,17 +252,21 @@ def _admm(blocks, y, cones, opts):
                 dpotrs(fc, wv, lower=lower, overwrite_b=1)
             for bs, _, pv, wv, _ in by_block:
                 np.matmul(bs, wv, out=pv)
-            ut = msv.u.T @ (prods.sum(axis=0, out=psum)[:-1, 0] - y)
-            mu = msv.u @ (ut / msv.s)
+            ut = sv.u.T @ (prods.sum(axis=0, out=psum)[:-1, 0] - y)
+            mu = sv.u @ (ut / sv.s)
             for _, ms, _, wv, tv in () if dual else by_block:
                 np.subtract(wv, np.matmul(ms, mu[:, None], out=tv), out=wv)
             return mu if dual else w
     else:
+        sv = compact_svd(a)
+
         def project(z, u, dual=False):
             np.subtract(z, u, out=w)
             ut = sv.u.T @ (a @ w - y)
             return sv.u @ (ut / sv.s**2) if dual else np.subtract(w, sv.v @ (ut / sv.s), out=w)
 
+    if np.linalg.norm(y - sv.u @ (sv.u.T @ y)) > 1e-6 * (1.0 + np.linalg.norm(y)):
+        raise InfeasibleError("target is outside the span of the blocks")
     rho = 1.0  # ADMM penalty start, rebalanced in flight
     it = 0
     pr_rel = dr_rel = stall_ref = np.inf
@@ -465,10 +467,9 @@ def solve_lasso_path(p, betas, opts=None):
                 cur = _lasso_objective(a, cols, w[i], y, beta)
                 if cur > prev_check[k]:
                     tk[i], v[i] = 1.0, w[i]
-                kkt = _lasso_kkt(a, cols, w[i], y, beta)
                 flat = prev_check[k] - cur < 1e-12 * max(1.0, abs(prev_check[k]))
                 prev_check[k] = cur
-                if flat and kkt < 1e-8 * max(1.0, beta):
+                if flat and _lasso_kkt(a, cols, w[i], y, beta) < 1e-8 * max(1.0, beta):
                     out[k] = _lasso_solution(a, cols, w[i], y, beta, it, True)
                 else:
                     stay.append(i)
@@ -487,7 +488,7 @@ def solve_group_lasso(p, opts=None):
 
 
 def solve_cone_constrained(p, opts=None):
-    """ADMM for min sum_j ||w_j|| s.t. sum_j A_j w_j = y and C_j w_j >= 0.
+    """ADMM for min sum_j ||w_j|| s.t. sum_j A_j w_j = y and C_j w_j >= 0, beta = 0.
 
     Entries of `cones` may be None for unconstrained blocks, e.g. a skip
     block; with every entry None this is `solve_group_min_norm` bit for bit.
@@ -495,9 +496,9 @@ def solve_cone_constrained(p, opts=None):
     equality set in the metric Q_j = I + C_j^T C_j. The set-up factors each
     distinct cone metric once (relu_skip_cone's patterns all share I + X^T X),
     forms Q^-1 A^T with one potrs per factor over its blocks' stacked A_j^T,
-    and takes the multiplier from a compact SVD of the n x n sum_j A_j Q_j^-1 A_j^T.
-    Cones that cannot meet the target stall the constraint residual, which
-    raises InfeasibleError. beta must be 0.
+    and takes the multiplier and the range check from a compact SVD of the n x n
+    sum_j A_j Q_j^-1 A_j^T. A target outside the blocks' span, or cones that
+    stall the constraint residual, raise InfeasibleError after the factorization.
     """
     blocks, y, cones = _check_problem(p)
     if p.beta != 0.0:

@@ -222,6 +222,16 @@ def test_runtime_error_exits_1(tmp_path, capsys):
     assert "error" in err.lower()
 
 
+def test_solve_penalized_program_succeeds_on_support(capsys):
+    # the lasso shrinks the planted block by about beta, so a penalized
+    # solve is judged by its support; success prints as 0 or 1
+    assert dispatch(["solve", "--program", "reg_grelu_skip", "--beta", "0.2",
+                     "--n", "60", "--d", "10", "--seed", "0"]) == 0
+    pairs = kv(capsys)
+    assert (pairs["success"], pairs["support_match"], pairs["converged"]) == ("1", "1", "1")
+    assert float(pairs["abs_distance"]) > 0.1
+
+
 def test_reconstruct_infeasible_gated_optimum_hints_cone(tmp_path, capsys):
     # at this seed the gated optimum keeps blocks whose weights violate
     # their own pattern, so no plain ReLU network exists; the error must

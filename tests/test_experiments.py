@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo grid engine: determinism, schema, failure
 recording, the beta sweep, plot-script emission, and config parsing."""
 
+import csv
 import itertools
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from neuriso import experiments as ex
+from neuriso import isometry as iso
 from neuriso.ensembles import MATRIX_KINDS
 from neuriso.errors import InvalidInputError, MissingPlantError, SchemaError
 from neuriso.recovery import PROGRAMS
@@ -194,7 +196,8 @@ def test_beta_sweep_zero_matches_min_norm():
     sol = solve_group_min_norm(prob)
     verdict = assess_recovery(sol, inst.model, prob, tol=cfg.success_tol)
     assert len(sol.active_blocks) == pt.active_blocks
-    assert int(sol.converged and verdict.support_match) == pt.success
+    assert verdict.abs_distance == pt.abs_distance
+    assert int(verdict.success) == pt.success == 1
 
 
 def test_beta_sweep_credits_a_relu_plant():
@@ -222,7 +225,7 @@ def per_point_sweep(cfg):
                 _, sol, verdict = ex.solve_program(cfg, inst, beta)
                 rows.append(dict(
                     d=d, n=n, sigma=sigma, beta=beta, trial=trial, seed=inst.seed,
-                    success=int(sol.converged and verdict.support_match),
+                    success=int(verdict.success),
                     active_blocks=len(sol.active_blocks),
                     abs_distance=verdict.abs_distance,
                     note="" if sol.converged else "solver hit the iteration cap"))
@@ -244,6 +247,34 @@ def test_beta_sweep_paths_equal_the_per_point_pipeline(master_seed, plant, n):
     assert all(p.wall_ms > 0.0 for p in pts)
     if plant == "relu":
         assert any(p.success for p in pts if p.beta == 0.0)
+
+
+def test_grid_cells_and_sweep_points_share_one_rule():
+    # a grid cell at beta and the sweep point with the same seed and beta
+    # solve the same program, so they must get the same verdict, at beta > 0
+    # too, where the lasso shrinks the planted weights
+    base = dict(d_values=(10,), n_values=(40,), trials=2, plant="linear",
+                sigmas=(0.0, 0.1), program="reg_grelu_skip")
+    for master_seed in (0, 1):
+        pts = ex.run_beta_sweep(ex.GridConfig(master_seed=master_seed,
+                                              betas=(0.0, 0.05, 0.2), **base))
+        sweep = {(p.sigma, p.beta, p.trial): (p.success, p.abs_distance) for p in pts}
+        for beta in (0.0, 0.05, 0.2):
+            cfg = ex.GridConfig(master_seed=master_seed, beta=beta, **base)
+            for r in ex.run_grid(cfg):
+                assert (r.success, r.abs_distance) == sweep[(r.sigma, beta, r.trial)]
+    assert any(p.success for p in pts if p.beta > 0.0)
+
+
+def test_penalized_grid_cells_succeed_on_support():
+    # noisy labels: a penalized cell succeeds once it finds the plant's
+    # support, and does so more often as n grows
+    cfg = ex.GridConfig(d_values=(10,), n_values=(20, 40, 60), trials=3,
+                        sigmas=(0.0, 0.1), program="reg_grelu_skip", beta=0.2)
+    rows = ex.run_grid(cfg)
+    rate = {n: sum(r.success for r in rows if r.n == n) for n in cfg.n_values}
+    assert 0 < rate[20] <= rate[40] <= rate[60] == 6
+    assert all(r.abs_distance > 100 * cfg.success_tol for r in rows if r.success)
 
 
 def test_sweep_points_share_their_path_wall_time(monkeypatch):
@@ -313,6 +344,21 @@ def test_emit_plots_scripts(tmp_path):
         assert used
         assert used <= set(header)
         assert "matplotlib" in text
+
+
+def test_nic_rate_counts_holds_as_the_report_does(tmp_path):
+    # d = 20, n = 40, master seed 0, trial 2 reads an exact all-ones tie
+    # that rounds below one; NicReport.holds does not count it
+    csv_path = tmp_path / "grid.csv"
+    row = "20,40,0.0,{},1,0,0.1,0.1,{},10,1.0,"
+    lhs = (0.9999999999999982, 1.0 - iso.STRICT_MARGIN, 0.5)
+    csv_path.write_text(ex.GRID_HEADER + "\n" + "\n".join(
+        row.format(t, v) for t, v in enumerate(lhs)) + "\n")
+    script = next(p for p in ex.emit_plots(str(csv_path)) if p.endswith("nic_rate.py"))
+    value = re.search(r"cells\[key\]\.append\((.*)\)\n", open(script).read()).group(1)
+    with open(csv_path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [eval(value, {}, {"row": r}) for r in rows] == [0.0, 0.0, 1.0]
 
 
 def test_emit_plots_rejects_malformed(tmp_path):

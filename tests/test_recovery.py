@@ -147,6 +147,27 @@ def test_assess_spurious_block():
     assert not v.success and not v.support_match and v.extras == 1
 
 
+def test_unconverged_solution_is_never_a_success():
+    # the exact plant at beta = 0 and its support at beta > 0 each succeed,
+    # as a Python bool, until the solve is marked unconverged
+    x = ens.gen_matrix("gaussian", 24, 4, seed=2)
+    w_star = ens.plant_direction(x, seed=3)
+    ps = sampled_with_plants(x, 40, 4, [w_star])
+    for program, beta in (("grelu_skip", 0.0), ("reg_grelu_skip", 0.5)):
+        prob = rec.build_program(x, ps, x.mat @ w_star, program, beta=beta)
+        sv = prob.layout.whitening
+        planted = w_star if sv is None else sv.s * (sv.v.T @ w_star)
+        weights = [np.zeros(4) for _ in prob.blocks]
+        weights[0] = (1.0 - beta) * planted  # a penalized solve shrinks the plant
+        s = manual_solution(prob.blocks, weights)
+        v = rec.assess_recovery(s, ens.linear_plant(w_star), prob)
+        assert v.success is True and v.support_match
+        assert (v.abs_distance == 0.0) == (beta == 0.0)
+        s.converged = False
+        v = rec.assess_recovery(s, ens.linear_plant(w_star), prob)
+        assert v.success is False and v.support_match
+
+
 def test_assess_missing_plant_pattern():
     x = ens.gen_matrix("gaussian", 30, 4, seed=13)
     w_star = ens.plant_direction(x, seed=14)
