@@ -13,10 +13,11 @@ import numpy as np
 
 from .errors import (InvalidInputError, MissingPlantError, SchemaError,
                      SizeLimitError)
-from .numerics import as_matrix, compact_svd
+from .numerics import CompactSvd, as_matrix, svd_rank
 
 MARGIN_EPS = 1e-9  # strict-realizability threshold on the unit-ball margin
 MAX_EXACT_N = 18  # row cap of exact enumeration
+BASES_CHUNK = 64  # patterns per batched SVD: a chunk's stacks stay in L2
 
 
 @dataclass
@@ -45,26 +46,37 @@ class PatternSet:
         self.masks = np.array([p.mask for p in self.patterns],
                               dtype=np.uint8).reshape(len(self.patterns), n)
         self._rows = {m.tobytes(): j for j, m in enumerate(self.masks)}
-        self._bases = (None, None)  # (data matrix key, CompactSvd per pattern)
+        self._bases = (None,)  # (data matrix key, CompactSvd per pattern, u, ranks)
 
     def index(self, mask):
         """Row of `mask` in `masks`, or -1 when the set lacks it."""
         return self._rows.get(np.asarray(mask, dtype=np.uint8).tobytes(), -1)
 
     def bases(self, x):
-        """compact_svd(D_j X) for every pattern j, in pattern order.
-
-        Computed once per data matrix, keyed by its exact shape and bytes, and
-        shared by every reader, so the factors are read-only."""
+        """compact_svd(D_j X) for every pattern j, in pattern order: views of
+        the read-only stacks of `stacks(x)`, one batched SVD per BASES_CHUNK
+        patterns. Computed once per data matrix, keyed by its exact shape and
+        bytes, and shared by every reader."""
         mat = as_matrix(x)
         key = (mat.shape, mat.tobytes())
         if self._bases[0] != key:
-            out = [compact_svd(m[:, None] * mat) for m in self.masks]
-            for sv in out:
-                for a in (sv.u, sv.s, sv.v):
-                    a.setflags(write=False)
-            self._bases = (key, out)
+            (n, d), p, k = mat.shape, len(self.masks), min(mat.shape)
+            u, s, vt = np.empty((p, n, k)), np.empty((p, k)), np.empty((p, k, d))
+            for c in (slice(lo, lo + BASES_CHUNK) for lo in range(0, p, BASES_CHUNK)):
+                m = self.masks[c, :, None] * mat
+                if not np.isfinite(m).all():
+                    raise InvalidInputError("compact_svd needs finite entries")
+                u[c], s[c], vt[c] = np.linalg.svd(m, full_matrices=False)
+            u.flags.writeable = s.flags.writeable = vt.flags.writeable = False
+            ranks = svd_rank(s)
+            self._bases = (key, [CompactSvd(u[j][:, :r], s[j][:r], vt[j][:r].T, int(r))
+                                 for j, r in enumerate(ranks)], u, ranks)
         return self._bases[1]
+
+    def stacks(self, x):
+        """(bases(x), the (p, n, min(n, d)) stack of whole left factors, ranks)."""
+        self.bases(x)
+        return self._bases[1:]
 
 
 def pattern_of(x, h):

@@ -26,10 +26,10 @@ class PlantedModel:
     noise_sigma: float = 0.0
 
 
-def _finite(v, what):
+def _finite(v, what, nonneg=False):
     v = np.asarray(v, dtype=float)
-    if not np.isfinite(v).all():
-        raise InvalidInputError("%s must be finite" % what)
+    if not np.isfinite(v).all() or nonneg and np.any(v < 0.0):
+        raise InvalidInputError("%s must be finite%s" % (what, " and >= 0" if nonneg else ""))
     return v
 
 
@@ -40,7 +40,7 @@ def _plant(variant, pairs, noise_sigma):
         if not np.any(w != 0.0):
             raise InvalidInputError("planted weight vector must be nonzero")
         neurons.append((w, float(_finite(r, "output weight"))))
-    return PlantedModel(variant, neurons, float(_finite(noise_sigma, "noise_sigma")))
+    return PlantedModel(variant, neurons, float(_finite(noise_sigma, "noise_sigma", nonneg=True)))
 
 
 def linear_plant(w_star, noise_sigma=0.0):
@@ -134,7 +134,7 @@ def gen_gmm(n1, n2, mu1, mu2, sigma, seed):
     sigma. Returns the stacked matrix and the component-one indicator q."""
     mu1 = _finite(mu1, "mixture means")
     mu2 = _finite(mu2, "mixture means")
-    _finite(sigma, "mixture sigma")
+    _finite(sigma, "mixture sigma", nonneg=True)
     if n1 < 0 or n2 < 0:
         raise InvalidInputError("mixture counts must be nonnegative")
     if not np.any(mu1 != 0.0) or not np.any(mu2 != 0.0):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .arrangements import pattern_of, with_plants
 from .errors import DegenerateStackError, InvalidInputError
-from .numerics import as_matrix, compact_svd, stacked_pinv_apply, unit
+from .numerics import as_matrix, compact_svd, row_norms, stacked_pinv_apply, unit
 
 STRICT_MARGIN = 1e-8  # "holds" means max off-plant lhs < 1 - STRICT_MARGIN
 
@@ -32,8 +32,10 @@ class NicReport:
 
 def _pattern_norms(mat, patterns, lam, normalized):
     """||A_j^T lam|| per pattern: A_j = D_j X, or the left basis U_j of D_j X."""
-    if normalized:
-        return [np.linalg.norm(sv.u.T @ lam) for sv in patterns.bases(mat)]
+    if normalized:  # one product over the stack; a pattern of rank < min(n, d) reads its own
+        bases, u, ranks = patterns.stacks(mat)
+        return [np.linalg.norm(sv.u.T @ lam) if r < u.shape[2] else v
+                for sv, r, v in zip(bases, ranks.tolist(), row_norms(np.matmul(lam, u)))]
     return np.linalg.norm((np.array(patterns.masks, dtype=float) * lam) @ mat, axis=1)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DegenerateStackError, InvalidInputError
 
-RANK_TOL = 1e-10  # compact_svd drops singular values <= RANK_TOL * s_max
+RANK_TOL = 1e-10  # svd_rank counts singular values > RANK_TOL * s_max (0 if s_max = 0)
 
 
 @dataclass
@@ -50,11 +50,18 @@ def compact_svd(m):
     if not np.isfinite(m).all():
         raise InvalidInputError("compact_svd needs finite entries")
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > RANK_TOL * s[0]))
+    rank = int(svd_rank(s))
     return CompactSvd(u=u[:, :rank], s=s[:rank], v=vt[:rank].T, rank=rank)
+
+
+def svd_rank(s):
+    return np.sum(s > RANK_TOL * s[..., :1], axis=-1)
+
+
+def row_norms(m):
+    # numpy sends each (1, w) @ (w, 1) product of the stack to the ddot that
+    # np.linalg.norm calls on a vector, so every norm keeps its bits
+    return np.sqrt(np.matmul(m[..., None, :], m[..., :, None]))[..., 0, 0]
 
 
 def stacked_pinv_apply(blocks, target):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InfeasibleError, InvalidInputError
 from .isometry import STRICT_MARGIN, nic_linear, nic_multi
-from .numerics import as_matrix, compact_svd
+from .numerics import as_matrix, compact_svd, row_norms
 
 # a block counts as active when its norm exceeds this fraction of the largest
 ZERO_REL = 1e-6
@@ -129,16 +129,10 @@ def _columns(widths, keys=None):
     return _Columns(slices, start, groups)
 
 
-def _row_norms(m):
-    # numpy sends each (1, w) @ (w, 1) product of the stack to the ddot that
-    # np.linalg.norm calls on a vector, so every norm keeps its bits
-    return np.sqrt(np.matmul(m[..., None, :], m[..., :, None]))[..., 0, 0]
-
-
 def _block_norms(v, cols):
     out = np.empty(len(cols.slices))
     for ids, idx in cols.groups:
-        out[ids] = _row_norms(v[idx])
+        out[ids] = row_norms(v[idx])
     return out
 
 
@@ -153,7 +147,7 @@ def _soft_blocks(v, cols, t, out=None):
     out.fill(0.0)
     for _, idx in cols.groups:
         seg = v.reshape(v.shape[:-1] + idx.shape) if whole else v.take(idx, axis=-1)
-        nv = _row_norms(seg)
+        nv = row_norms(seg)
         keep = nv > t
         dst = out.reshape(seg.shape) if whole else np.zeros(seg.shape)
         np.divide(t, nv, out=nv, where=keep)
@@ -384,7 +378,7 @@ def _block_kkt(g, w, cols, th, cones=None):
         gs = g[idx]
         act = on[ids]
         gs[act] -= th * w[idx[act]] / norms[ids[act], None]
-        resid[ids] = _row_norms(gs)
+        resid[ids] = row_norms(gs)
     cone_v = 0.0
     for k, c in enumerate(cones or ()):
         if c is not None:
@@ -410,12 +404,12 @@ def _lasso_objective(a, cols, w, y, beta):
     return 0.5 * float(r @ r) + beta * sum(_block_norms(w, cols).tolist())
 
 
-def _lasso_solution(a, cols, w, y, beta, it, converged):
+def _lasso_solution(a, cols, w, y, beta, it, converged, obj=None, kkt=None):
     return BlockSolution(
-        weights=[w[s].copy() for s in cols.slices], dual=y - a @ w,
-        objective=float(_lasso_objective(a, cols, w, y, beta)), primal_residual=0.0,
-        dual_residual=float(_lasso_kkt(a, cols, w, y, beta)), cone_violation=0.0,
-        iterations=it, active_blocks=_active(_block_norms(w, cols).tolist()),
+        weights=[w[s].copy() for s in cols.slices], dual=y - a @ w, primal_residual=0.0,
+        objective=float(_lasso_objective(a, cols, w, y, beta) if obj is None else obj),
+        dual_residual=float(_lasso_kkt(a, cols, w, y, beta) if kkt is None else kkt),
+        iterations=it, active_blocks=_active(_block_norms(w, cols).tolist()), cone_violation=0.0,
         converged=converged)
 
 
@@ -469,8 +463,8 @@ def solve_lasso_path(p, betas, opts=None):
                     tk[i], v[i] = 1.0, w[i]
                 flat = prev_check[k] - cur < 1e-12 * max(1.0, abs(prev_check[k]))
                 prev_check[k] = cur
-                if flat and _lasso_kkt(a, cols, w[i], y, beta) < 1e-8 * max(1.0, beta):
-                    out[k] = _lasso_solution(a, cols, w[i], y, beta, it, True)
+                if flat and (kkt := _lasso_kkt(a, cols, w[i], y, beta)) < 1e-8 * max(1.0, beta):
+                    out[k] = _lasso_solution(a, cols, w[i], y, beta, it, True, cur, kkt)
                 else:
                     stay.append(i)
             live = [live[i] for i in stay]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from neuriso import arrangements as arr
 from neuriso.numerics import compact_svd
@@ -359,12 +359,14 @@ def test_with_plants_adds_only_missing_masks():
 
 
 def assert_bases_equal(got, x, masks):
+    # the stacked factors are compact_svd's: same bytes, shapes and strides
     assert len(got) == len(masks)
     for sv, m in zip(got, masks):
         ref = compact_svd(m[:, None] * x)
         assert sv.rank == ref.rank
         for a, b in ((sv.u, ref.u), (sv.s, ref.s), (sv.v, ref.v)):
-            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+            assert (a.shape, a.strides) == (b.shape, b.strides)
 
 
 def test_bases_follow_the_data_matrix():
@@ -382,13 +384,17 @@ def test_bases_follow_the_data_matrix():
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 12), d=st.integers(1, 4), seed=st.integers(0, 2**16),
-       deficient=st.booleans())
-def test_bases_match_per_mask_svd(n, d, seed, deficient):
+       deficient=st.booleans(), directions=st.just(30))
+@example(n=80, d=10, seed=3, deficient=False, directions=500)  # several chunks
+@example(n=80, d=10, seed=4, deficient=True, directions=500)
+@example(n=8, d=9, seed=5, deficient=False, directions=400)  # n < d
+@example(n=8, d=12, seed=6, deficient=True, directions=400)
+def test_bases_match_per_mask_svd(n, d, seed, deficient, directions):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
     if deficient:  # rank d - 1, or the zero matrix when d = 1
         x[:, -1] = 2.0 * x[:, 0] if d > 1 else 0.0
-    ps = arr.sample_patterns(x, 30, seed=seed)
+    ps = arr.sample_patterns(x, directions, seed=seed)
     zero = np.zeros(n, dtype=np.uint8)  # rank 0 whatever x is
     if ps.index(zero) < 0:
         ps = arr.PatternSet(ps.patterns + [arr.ArrangementPattern(zero, np.ones(d))],
@@ -396,6 +402,25 @@ def test_bases_match_per_mask_svd(n, d, seed, deficient):
     got = ps.bases(x)
     assert_bases_equal(got, x, ps.masks)
     assert got[ps.index(zero)].rank == 0
+    bases, u, ranks = ps.stacks(x)
+    assert bases is got and u.shape == (len(got), n, min(n, d))
+    assert ranks.tolist() == [sv.rank for sv in got]
+    if directions > 30:
+        assert len(got) > arr.BASES_CHUNK
+
+
+def test_bases_reject_non_finite_data_and_an_empty_set_has_none():
+    x = np.random.default_rng(7).normal(size=(6, 3))
+    ps = arr.sample_patterns(x, 40, seed=7)
+    for bad in (np.nan, np.inf):
+        y = x.copy()
+        y[2, 1] = bad
+        with pytest.raises(InvalidInputError), np.errstate(invalid="ignore"):
+            ps.bases(y)
+    assert len(ps.bases(x)) == len(ps.patterns)  # a failed call keeps no stale key
+    empty = arr.PatternSet(patterns=[], contains_all_ones=False, sampled=True)
+    assert empty.bases(x) == []
+    assert empty.stacks(x)[1].shape == (0, 6, 3)
 
 
 @settings(max_examples=40, deadline=None)

@@ -50,6 +50,9 @@ def test_usage_errors_exit_2(capsys):
     for sep, sigma in (("nan", "1.0"), ("2.0", "inf"), ("nan", "inf")):
         assert dispatch(["gmm-check", "--n1", "5", "--n2", "5", "--d", "3",
                          "--separation", sep, "--sigma", sigma]) == 2
+    # a negative noise level used to run and print bound=-0.353...
+    assert dispatch(["gmm-check", "--n1", "5", "--n2", "5", "--d", "3",
+                     "--separation", "2", "--sigma", "-0.5"]) == 2
     # a negative mixture count used to crash inside numpy
     assert dispatch(["gmm-check", "--n1", "-1", "--n2", "3", "--d", "2",
                      "--separation", "4"]) == 2

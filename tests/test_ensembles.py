@@ -203,3 +203,61 @@ def test_gmm_success_bound_and_sweep():
     # b = -1, so each exponent is -2*20/(4*sigma^2) = -10/sigma^2
     assert abs(ens.gmm_success_bound(50, 50, mu1, mu2, 1.0)
                - (1 - 100 * np.exp(-10.0))) < 1e-12
+
+
+PLANTS = {"linear": lambda w, sigma: ens.linear_plant(w, noise_sigma=sigma),
+          "relu": lambda w, sigma: ens.relu_plant(w, noise_sigma=sigma),
+          "normalized": lambda w, sigma: ens.normalized_plant([(w, 1.0), (-w, -0.5)],
+                                                              noise_sigma=sigma)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(plant=st.sampled_from(sorted(PLANTS)), n=st.integers(1, 30), d=st.integers(1, 6),
+       sigma=st.sampled_from([0.0, 0.3, 2.0]), seed=st.integers(0, 2**32 - 1))
+def test_plants_and_observations_shape_finiteness_determinism_and_noise(
+        plant, n, d, sigma, seed):
+    x = ens.gen_matrix("gaussian", n, d, seed=seed)
+    w = ens.plant_direction(x, seed=seed + 1)
+    model = PLANTS[plant](w, sigma)
+    assert model.noise_sigma == sigma
+    try:
+        y, z = ens.gen_observation(model, x, seed=seed)
+    except DegeneratePlantError:  # a neuron dead on x, or two sharing a pattern
+        return
+    assert y.shape == z.shape == (n,) and np.isfinite(y).all() and np.isfinite(z).all()
+    y2, z2 = ens.gen_observation(PLANTS[plant](w, sigma), x, seed=seed)
+    assert (y.tobytes(), z.tobytes()) == (y2.tobytes(), z2.tobytes())
+    clean, zero = ens.gen_observation(PLANTS[plant](w, 0.0), x, seed=seed)
+    assert not zero.any()  # sigma = 0: a noise-free target
+    assert np.array_equal(y - z, clean) if sigma == 0.0 else np.allclose(y - z, clean)
+    with pytest.raises(InvalidInputError):
+        PLANTS[plant](w, -sigma - 0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n1=st.integers(0, 12), n2=st.integers(0, 12), d=st.integers(1, 6),
+       sigma=st.sampled_from([0.0, 0.5, 3.0]), seed=st.integers(0, 2**32 - 1))
+def test_gen_gmm_shape_finiteness_determinism_and_noise(n1, n2, d, sigma, seed):
+    rng = np.random.default_rng(seed)
+    mu1, mu2 = rng.standard_normal(d) + 0.1, rng.standard_normal(d) - 0.1
+    x, q = ens.gen_gmm(n1, n2, mu1, mu2, sigma, seed=seed)
+    assert x.mat.shape == (n1 + n2, d) and np.isfinite(x.mat).all()
+    assert q.tolist() == [1] * n1 + [0] * n2
+    x2, q2 = ens.gen_gmm(n1, n2, mu1, mu2, sigma, seed=seed)
+    assert (x.mat.tobytes(), q.tobytes()) == (x2.mat.tobytes(), q2.tobytes())
+    if sigma == 0.0:  # every row sits on its mean
+        assert np.array_equal(x.mat, np.vstack([np.tile(mu1, (n1, 1)), np.tile(mu2, (n2, 1))]))
+    with pytest.raises(InvalidInputError):
+        ens.gen_gmm(n1, n2, mu1, mu2, -sigma - 0.5, seed=seed)
+
+
+def test_negative_noise_level_rejected():
+    # sigma = -0.5 used to give a plant with no noise and a mixture with
+    # flipped draws and a negative success bound
+    for make in (lambda: ens.linear_plant(np.ones(3), noise_sigma=-0.5),
+                 lambda: ens.relu_plant(np.ones(3), noise_sigma=-1e-300),
+                 lambda: ens.normalized_plant([(np.ones(3), 1.0)], noise_sigma=-2.0),
+                 lambda: ens.gen_gmm(5, 5, np.ones(3), -np.ones(3), sigma=-0.5, seed=0)):
+        with pytest.raises(InvalidInputError, match=">= 0"):
+            make()
+    assert ens.linear_plant(np.ones(3), noise_sigma=-0.0).noise_sigma == 0.0

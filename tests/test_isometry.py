@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from neuriso import arrangements as arr
 from neuriso import ensembles as ens
@@ -346,22 +347,57 @@ def test_report_csv():
 
 def test_normalized_readers_share_one_svd_per_pattern(monkeypatch):
     # the NNIC checker, the normalized certificate and the grelu_normal
-    # program read one set of bases: one compact_svd per pattern in all
-    calls = []
+    # program read one set of bases: one SVD per pattern in all, taken as
+    # batched SVDs of BASES_CHUNK patterns, and no compact_svd of a pattern
+    calls, stacked, svd = [], [], np.linalg.svd
 
     def counted(m):
         calls.append(m.shape)
         return compact_svd(m)
 
-    for mod in (arr, iso, rec, sol):
+    def batched(m, *args, **kwargs):
+        if np.ndim(m) == 3:
+            stacked.append(len(m))
+        return svd(m, *args, **kwargs)
+
+    for mod in (iso, rec, sol):
         monkeypatch.setattr(mod, "compact_svd", counted)
-    cfg = GridConfig(d_values=(4,), n_values=(20,), plant="relu", pattern_count=40)
+    monkeypatch.setattr(np.linalg, "svd", batched)
+    cfg = GridConfig(d_values=(4,), n_values=(20,), plant="relu", pattern_count=200)
     inst = build_cell(cfg, 4, 20, 0.0, 0)
     ps, w = inst.patterns, inst.model.neurons[0][0]
+    assert len(ps.patterns) > arr.BASES_CHUNK  # more than one chunk
     assert arr.with_plants(inst.x, ps, [w]) is ps  # the set holds the plant
     rep = iso.nnic_single(inst.x, w, ps)
     cert = sol.build_certificate(inst.x, ps, inst.model.neurons, "normalized")
     prob = rec.build_program(inst.x, ps, inst.y, "grelu_normal")
-    assert len(calls) == len(ps.patterns)
+    assert calls == []
+    assert sum(stacked) == len(ps.patterns)
+    assert stacked[:-1] == [arr.BASES_CHUNK] * (len(stacked) - 1)
     assert prob.layout.bases is ps.bases(inst.x)
     assert len(rep.per_pattern) == len(cert.block_norms) == len(prob.blocks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 5), seed=st.integers(0, 2**16),
+       deficient=st.booleans(), directions=st.just(40))
+@example(n=80, d=10, seed=1, deficient=False, directions=500)  # several chunks
+@example(n=80, d=10, seed=2, deficient=True, directions=500)  # every rank < k
+@example(n=8, d=11, seed=3, deficient=True, directions=400)  # n < d
+def test_stacked_normalized_norms_equal_the_per_pattern_loop(n, d, seed, deficient,
+                                                             directions):
+    # one product over the basis stack gives the bytes of one gemv per pattern,
+    # for full-rank patterns, rank < min(n, d) ones and the rank-0 zero mask
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    if deficient:  # rank d - 1, or the zero matrix when d = 1
+        x[:, -1] = 2.0 * x[:, 0] if d > 1 else 0.0
+    ps = arr.sample_patterns(x, directions, seed=seed)
+    zero = np.zeros(n, dtype=np.uint8)
+    if ps.index(zero) < 0:
+        ps = arr.PatternSet(ps.patterns + [arr.ArrangementPattern(zero, np.ones(d))],
+                            contains_all_ones=ps.contains_all_ones, sampled=True)
+    lam = rng.normal(size=n)
+    got = iso._pattern_norms(x, ps, lam, normalized=True)
+    ref = [np.linalg.norm(compact_svd(m[:, None] * x).u.T @ lam) for m in ps.masks]
+    assert np.array(got).tobytes() == np.array(ref).tobytes()

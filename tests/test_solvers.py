@@ -281,6 +281,8 @@ def test_lasso_path_equals_one_solve_per_beta():
             one, restarts = one_beta_fista(prob, beta, opts)
             assert s.iterations == one.iterations and s.converged == one.converged
             assert np.float64(s.objective).tobytes() == np.float64(one.objective).tobytes()
+            assert np.float64(s.dual_residual).tobytes() == np.float64(
+                one.dual_residual).tobytes()
             assert s.dual.tobytes() == one.dual.tobytes()
             assert all(a.tobytes() == b.tobytes() for a, b in zip(s.weights, one.weights))
             seen.append((opts.max_iter, s.iterations, s.converged, restarts))
@@ -294,6 +296,35 @@ def test_lasso_path_equals_one_solve_per_beta():
     for bad in ((0.1, 0.0), (np.nan,), (np.inf,)):
         with pytest.raises(InvalidInputError):
             sol.solve_lasso_path(p, bad)
+
+
+def test_lasso_path_scores_each_finished_row_once(monkeypatch):
+    # a row that stops at a check keeps the objective and KKT residual that
+    # the check computed: no (w, beta) is scored twice, and the kept values
+    # are the ones a fresh call gives
+    rng = np.random.default_rng(0)
+    blocks = [rng.standard_normal((12, w)) for w in (3, 2, 3, 2, 3)]
+    p = sol.GroupProblem(blocks=blocks, target=rng.standard_normal(12))
+    calls = {"_lasso_kkt": [], "_lasso_objective": []}
+    fns = {name: getattr(sol, name) for name in calls}
+
+    def counted(name):
+        def run(a, cols, w, y, beta):
+            calls[name].append((w.tobytes(), beta))
+            return fns[name](a, cols, w, y, beta)
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(sol, name, counted(name))
+    path = sol.solve_lasso_path(p, (0.02, 0.3, 1.0, 4.0))
+    assert all(s.converged for s in path)
+    for seen in calls.values():
+        assert len(seen) == len(set(seen))
+    a, cols = np.hstack(blocks), sol._columns([b.shape[1] for b in blocks])
+    for beta, s in zip((0.02, 0.3, 1.0, 4.0), path):
+        w = np.concatenate(s.weights)
+        assert s.dual_residual == fns["_lasso_kkt"](a, cols, w, p.target, beta)
+        assert s.objective == fns["_lasso_objective"](a, cols, w, p.target, beta)
 
 
 def test_lasso_kkt_at_optimum():
