@@ -60,13 +60,13 @@ class PatternSet:
         mat = as_matrix(x)
         key = (mat.shape, mat.tobytes())
         if self._bases[0] != key:
+            if not np.isfinite(mat).all():
+                raise InvalidInputError("compact_svd needs finite entries")
             (n, d), p, k = mat.shape, len(self.masks), min(mat.shape)
             u, s, vt = np.empty((p, n, k)), np.empty((p, k)), np.empty((p, k, d))
             for c in (slice(lo, lo + BASES_CHUNK) for lo in range(0, p, BASES_CHUNK)):
-                m = self.masks[c, :, None] * mat
-                if not np.isfinite(m).all():
-                    raise InvalidInputError("compact_svd needs finite entries")
-                u[c], s[c], vt[c] = np.linalg.svd(m, full_matrices=False)
+                u[c], s[c], vt[c] = np.linalg.svd(self.masks[c, :, None] * mat,
+                                                  full_matrices=False)
             u.flags.writeable = s.flags.writeable = vt.flags.writeable = False
             ranks = svd_rank(s)
             self._bases = (key, [CompactSvd(u[j][:, :r], s[j][:r], vt[j][:r].T, int(r))

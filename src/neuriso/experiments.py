@@ -185,13 +185,13 @@ def _nic_report(cfg, inst):
 
 def solve_program(cfg, inst, beta):
     """Build cfg.program on a cell at penalty beta, solve it with the solver
-    its family and beta call for, and judge the solution against the plant.
+    its cones and beta call for, and judge the solution against the plant.
 
     Returns (prob, sol, verdict)."""
     prob = build_program(inst.x, inst.patterns, inst.y, cfg.program, beta=beta)
-    if cfg.program.endswith("_cone"):
+    if prob.cones is not None:
         sol = solve_cone_constrained(prob, cfg.solver)
-    elif beta > 0.0:
+    elif prob.beta > 0.0:
         sol = solve_group_lasso(prob, cfg.solver)
     else:
         sol = solve_group_min_norm(prob, cfg.solver)
@@ -268,8 +268,8 @@ def _run_sweep_point(cfg, point, prob, sol, model):
 def _run_sweep_path(cfg, d, n, sigma, trial):
     # one instance and program, every beta > 0 solved in one lockstep call
     t0 = time.perf_counter()
-    points = [dict(d=d, n=n, sigma=sigma, beta=b, trial=trial,
-                   seed=_cell_seed(cfg, d, n, sigma, trial), success=0,
+    seed = _cell_seed(cfg, d, n, sigma, trial)
+    points = [dict(d=d, n=n, sigma=sigma, beta=b, trial=trial, seed=seed, success=0,
                    active_blocks=0, abs_distance=float("nan"), note="")
               for b in cfg.betas]
     try:

@@ -81,6 +81,7 @@ class ProgramLayout:
     (reg_grelu_skip); `bases` is `patterns.bases(x)`, the pattern set's
     shared, read-only compact SVD of D_j X per pattern, whose left bases are
     the normalized programs' blocks. It is None for gated programs.
+    `basis` and `to_x` are the one map from a block's weights to X.
     """
 
     x: np.ndarray
@@ -98,10 +99,18 @@ class ProgramLayout:
         k = b - int(self.skip)
         return (k // 2, k % 2 == 1) if self.paired else (k, False)
 
-    def unwhiten(self, w):
-        """Gated block weights in the coordinates of X."""
-        sv = self.whitening
-        return np.asarray(w, dtype=float) if sv is None else sv.v @ (w / sv.s)
+    def basis(self, b):
+        """Compact SVD U S V^T behind block b's coordinates: its pattern's
+        basis in a normalized program, the whitening in reg_grelu_skip, else
+        None (the block reads X). Weights t stand for the direction V(t / S)."""
+        return self.whitening if self.bases is None else self.bases[self.pattern(b)[0]]
+
+    def to_x(self, b, w):
+        """Block b's weights as a direction of X."""
+        sv, w = self.basis(b), np.asarray(w, dtype=float)
+        if sv is not None and w.shape != (sv.rank,):
+            raise InvalidInputError("block %d does not hold basis coordinates" % b)
+        return w if sv is None else sv.v @ (w / sv.s)
 
 
 def build_program(x, patterns, y, program, beta=0.0):
@@ -188,15 +197,13 @@ def _plant_targets(plant, layout):
             if j < 0:
                 raise MissingPlantError("planted pattern missing from the pattern set")
             scale = abs(r) if layout.paired else r
-            if plant.variant == "relu":
-                vec = scale * w
-            elif layout.bases is None:
+            b, vec = layout.block(j, r < 0), scale * w
+        sv = layout.basis(b)
+        if plant.variant == "normalized_relu_sum":  # unit coordinates in the basis
+            if layout.bases is None:
                 raise InvalidInputError("a normalized plant needs a normalized program")
-            else:  # normalized_relu_sum: coordinates in the pattern's basis
-                vec = scale * normalized_target(layout.bases[j], w)
-            b = layout.block(j, r < 0)
-        sv = layout.whitening
-        if sv is not None:
+            vec = scale * normalized_target(sv, w)
+        elif sv is not None:  # U t = U S V^T w, the block's X w, at t = S V^T w
             vec = sv.s * (sv.v.T @ vec)
         targets[b] = targets.get(b, 0.0) + vec
     return targets
@@ -244,7 +251,7 @@ def test_distance(sol, plant, prob, x_test):
 
     pred = np.zeros(xt.shape[0])
     for b in sol.active_blocks:
-        w = layout.unwhiten(sol.weights[b])
+        w = layout.to_x(b, sol.weights[b])
         if layout.skip and b == 0:
             pred += xt @ w
         else:
@@ -267,28 +274,16 @@ def reconstruct_network(sol, prob):
     normalized = layout.bases is not None
     first, second, alphas, flags = [], [], [], []
     for b in sorted(sol.active_blocks):
-        if layout.skip and b == 0:
-            w0 = layout.unwhiten(sol.weights[0])
-            nrm = np.linalg.norm(w0)
-            first.append(w0 / np.sqrt(nrm))
-            second.append(np.sqrt(nrm))
-            alphas.append(1.0)
-            flags.append(True)
-            continue
-        j, negative = layout.pattern(b)
-        mask = layout.patterns.masks[j]
-        if normalized:
-            svj = layout.bases[j]
-            if sol.weights[b].shape != (svj.rank,):
-                raise InvalidInputError("block %d does not hold basis coordinates" % b)
-            w1 = svj.v @ (sol.weights[b] / svj.s)
-        else:
-            w1 = layout.unwhiten(sol.weights[b])
-        z = mat @ w1
-        slack = 1e-8 * max(1.0, float(np.max(np.abs(z))))
-        if np.any(z[mask == 1] < -slack) or np.any(z[mask == 0] > slack):
-            raise InconsistentSolutionError(
-                "active block %d violates its arrangement pattern" % b)
+        w1 = layout.to_x(b, sol.weights[b])
+        linear = layout.skip and b == 0
+        negative = False
+        if not linear:  # the pass-through block has no pattern to respect
+            j, negative = layout.pattern(b)
+            mask, z = layout.patterns.masks[j], mat @ w1
+            slack = 1e-8 * max(1.0, float(np.max(np.abs(z))))
+            if np.any(z[mask == 1] < -slack) or np.any(z[mask == 0] > slack):
+                raise InconsistentSolutionError(
+                    "active block %d violates its arrangement pattern" % b)
         if normalized:
             root = np.sqrt(np.linalg.norm(sol.weights[b]))
             first.append(w1 / np.linalg.norm(w1) * root)
@@ -297,7 +292,7 @@ def reconstruct_network(sol, prob):
             first.append(w1 / root)
         second.append(-root if negative else root)
         alphas.append(root)
-        flags.append(False)
+        flags.append(linear)
     return NetworkWeights(arch="normalized" if normalized else "skip",
                           first_layer=first, second_layer=second,
                           alphas=alphas if normalized else None,

@@ -415,10 +415,12 @@ def test_bases_reject_non_finite_data_and_an_empty_set_has_none():
     for bad in (np.nan, np.inf):
         y = x.copy()
         y[2, 1] = bad
-        with pytest.raises(InvalidInputError), np.errstate(invalid="ignore"):
+        with pytest.raises(InvalidInputError):
             ps.bases(y)
     assert len(ps.bases(x)) == len(ps.patterns)  # a failed call keeps no stale key
     empty = arr.PatternSet(patterns=[], contains_all_ones=False, sampled=True)
+    with pytest.raises(InvalidInputError):
+        empty.bases(y)
     assert empty.bases(x) == []
     assert empty.stacks(x)[1].shape == (0, 6, 3)
 

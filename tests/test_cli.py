@@ -235,6 +235,17 @@ def test_solve_penalized_program_succeeds_on_support(capsys):
     assert float(pairs["abs_distance"]) > 0.1
 
 
+def test_solve_relu_plant_in_a_normalized_program_succeeds(capsys):
+    # the verdict reads the plant in its pattern's basis, where the solver
+    # writes it, so the one planted block found is a success
+    assert dispatch(["solve", "--plant", "relu", "--program", "grelu_normal",
+                     "--n", "40", "--d", "4", "--seed", "1"]) == 0
+    pairs = kv(capsys)
+    assert (pairs["success"], pairs["support_match"], pairs["active_blocks"],
+            pairs["iterations"]) == ("1", "1", "1", "486")
+    assert float(pairs["abs_distance"]) < 1e-6
+
+
 def test_reconstruct_infeasible_gated_optimum_hints_cone(tmp_path, capsys):
     # at this seed the gated optimum keeps blocks whose weights violate
     # their own pattern, so no plain ReLU network exists; the error must

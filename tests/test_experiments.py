@@ -16,7 +16,7 @@ from neuriso import experiments as ex
 from neuriso import isometry as iso
 from neuriso.ensembles import MATRIX_KINDS
 from neuriso.errors import InvalidInputError, MissingPlantError, SchemaError
-from neuriso.recovery import PROGRAMS
+from neuriso.recovery import PROGRAMS, _plant_targets, build_program, reconstruct_network
 from neuriso.solvers import SolverOptions
 
 
@@ -212,6 +212,51 @@ def test_beta_sweep_credits_a_relu_plant():
     assert [p.success for p in by_beta[0.0]] == [1, 1, 1]
     assert all(p.active_blocks == 1 and p.abs_distance < 1e-6 for p in by_beta[0.0])
     assert [p.success for p in by_beta[2.0]] == [0, 0, 0]
+
+
+def accepted_pairs():
+    pairs = []
+    for plant, program in itertools.product(ex.PLANTS, PROGRAMS):
+        try:
+            mini_cfg(plant=plant, program=program)
+        except InvalidInputError:
+            continue
+        pairs.append((plant, program))
+    return pairs
+
+
+def test_plant_targets_reproduce_the_noise_free_target():
+    # the plant's block weights, put through the program's own blocks, give
+    # back y: the verdict reads the plant in the coordinates the solver
+    # writes (a relu plant in a normalized program is S V^T w in its
+    # pattern's basis, not w)
+    pairs = accepted_pairs()
+    assert len(pairs) == 10
+    for plant, program in pairs:
+        cfg = mini_cfg(plant=plant, program=program, n_values=(6, 12, 24))
+        for n, trial in itertools.product(cfg.n_values, range(cfg.trials)):
+            inst = ex.build_cell(cfg, 4, n, 0.0, trial)
+            prob = build_program(inst.x, inst.patterns, inst.y, program)
+            fit = sum(prob.blocks[b] @ t
+                      for b, t in _plant_targets(inst.model, prob.layout).items())
+            assert np.linalg.norm(fit - inst.y) <= 1e-12 * np.linalg.norm(inst.y), \
+                (plant, program, n, trial)
+
+
+@pytest.mark.parametrize("program", ex.NORMAL_PROGRAMS)
+def test_relu_plant_succeeds_in_a_normalized_program(program):
+    # the normalized program recovers the planted relu neuron: one active
+    # block, at the plant's basis coordinates, rebuilt along the plant
+    cfg = ex.GridConfig(d_values=(4,), n_values=(24, 40), trials=3, plant="relu",
+                        program=program, master_seed=1)
+    rows = ex.run_grid(cfg)
+    assert [r.success for r in rows] == [1] * 6
+    assert max(r.abs_distance for r in rows) < 1e-6
+    inst = ex.build_cell(cfg, 4, 40, 0.0, 0)
+    prob, sol, _ = ex.solve_program(cfg, inst, 0.0)
+    (w1,) = reconstruct_network(sol, prob).first_layer
+    w = inst.model.neurons[0][0]
+    assert w1 @ w / (np.linalg.norm(w1) * np.linalg.norm(w)) > 1.0 - 1e-9
 
 
 def per_point_sweep(cfg):

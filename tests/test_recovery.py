@@ -292,13 +292,15 @@ def test_reconstruct_linear_only():
     x = ens.gen_matrix("gaussian", 20, 4, seed=12)
     w_star = ens.plant_direction(x, seed=13)
     ps = arr.sample_patterns(x.mat, 30, seed=14)
-    prob = rec.build_program(x, ps, x.mat @ w_star, "grelu_skip")
-    weights = [np.zeros(4) for _ in prob.blocks]
-    weights[0] = w_star.copy()
-    net = rec.reconstruct_network(manual_solution(prob.blocks, weights), prob)
-    assert len(net.first_layer) == 1
-    pred = rec.predict(net, x.mat)
-    assert np.linalg.norm(pred - x.mat @ w_star) < 1e-10
+    for program in ("grelu_skip", "reg_grelu_skip"):
+        prob = rec.build_program(x, ps, x.mat @ w_star, program)
+        sv = prob.layout.basis(0)  # the whitening of reg_grelu_skip
+        weights = [np.zeros(4) for _ in prob.blocks]
+        weights[0] = w_star.copy() if sv is None else sv.s * (sv.v.T @ w_star)
+        net = rec.reconstruct_network(manual_solution(prob.blocks, weights), prob)
+        assert len(net.first_layer) == 1
+        pred = rec.predict(net, x.mat)
+        assert np.linalg.norm(pred - x.mat @ w_star) < 1e-10
 
 
 def test_reconstruct_forward_matches_convex_prediction():
@@ -336,6 +338,11 @@ def test_reconstruct_normalized_arch():
     assert net.alphas is not None and len(net.alphas) == len(net.first_layer)
     pred = rec.predict(net, x.mat)
     assert np.linalg.norm(pred - y) < 1e-6
+    # weights of another length are not the block's basis coordinates
+    b = s.active_blocks[0]
+    s.weights[b] = np.ones(s.weights[b].size + 1)
+    with pytest.raises(InvalidInputError, match="basis coordinates"):
+        rec.reconstruct_network(s, prob)
 
 
 def test_reconstruct_negative_pair_neuron():
