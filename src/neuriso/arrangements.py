@@ -125,26 +125,27 @@ def _affine_min(pts):
 
 
 def _min_norm_point(pts):
-    # Wolfe's minimum-norm-point algorithm over conv(rows of pts).
-    # Finitely terminating, so t* = 0 cases come out exact; nearly equal rows
-    # can make it cycle, and then the cap returns the smallest iterate seen.
+    # Wolfe's minimum-norm-point algorithm over conv(rows of pts), and the
+    # rows the point rests on. Finitely terminating, so t* = 0 cases come
+    # out exact; nearly equal rows can make it cycle, and then the cap
+    # returns the smallest iterate seen.
     pts = np.asarray(pts, dtype=float)
     k = pts.shape[0]
     scale = max(1.0, float(np.max(np.sum(pts * pts, axis=1))))
     sel = [int(np.argmin(np.sum(pts * pts, axis=1)))]
     lam = np.array([1.0])
-    best = pts[sel[0]]
+    best = pts[sel[0]], sel
     for _ in range(16 * k + 100):
         v = lam @ pts[sel]
         dots = pts @ v
         vv = float(v @ v)
-        best = v if vv < float(best @ best) else best
+        best = (v, sel) if vv < float(best[0] @ best[0]) else best
         i_star = int(np.argmin(dots))
         if dots[i_star] >= vv - 1e-12 * scale or vv <= 1e-30 * scale:
-            return v
+            return v, sel
         if i_star in sel:  # numerically stalled at optimum
-            return v
-        sel.append(i_star)
+            return v, sel
+        sel = sel + [i_star]
         lam = np.append(lam, 0.0)
         while True:
             alpha = _affine_min(pts[sel])
@@ -171,17 +172,22 @@ def allones_margin(x):
     """Largest t with Xw >= t*1 over the unit ball, and the maximizing w.
 
     Solved through the dual: t* is the distance from the origin to the
-    convex hull of the rows, attained by the hull's min-norm point. t* is
+    convex hull of the rows, attained by the hull's min-norm point v. t* is
     always >= 0 (w = 0 is feasible); t* > 0 iff the rows share an open
-    halfspace.
+    halfspace. Every optimal w meets the rows v rests on at one value, so
+    their least-squares solve of X_S w = 1 gives w without the cancellation
+    in v when nearly antipodal rows make v small; the better of that w and
+    v/|v| is returned.
     """
     x = np.asarray(x, dtype=float)
-    v = _min_norm_point(x)
+    v, sel = _min_norm_point(x)
     u = float(np.linalg.norm(v))
     if u <= MARGIN_EPS:
         return 0.0, np.zeros(x.shape[1])
-    w = v / u
-    return float(np.min(x @ w)), w
+    w = np.linalg.lstsq(x[sel], np.ones(len(sel)), rcond=None)[0]
+    best = max((v / u, w / np.linalg.norm(w)), key=lambda c: float(np.min(x @ c)))
+    t = float(np.min(x @ best))
+    return (t, best) if t > 0.0 else (0.0, np.zeros(x.shape[1]))
 
 
 def _decide(x, signs, w):

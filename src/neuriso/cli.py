@@ -36,7 +36,17 @@ from .theory import (c1_coef, c2_coef, c3_coef, curve_g1, curve_g2,
                      curve_g_single, kinematic_bound, noisy_beta_interval,
                      solve_theta_star, threshold_check)
 
-NIC_KINDS = ("nic-l", "nic-1", "nnic-1", "nic-k", "nnic-k", "snic-orth")
+# each --kind: the plant it certifies and its check on the built instance
+NIC_KINDS = {
+    "nic-l": ("linear", lambda c: nic_linear(c.x, c.model.neurons[0][0], c.patterns)),
+    "nic-1": ("relu", lambda c: nic_relu_single(c.x, c.model.neurons[0][0], c.patterns)),
+    "nnic-1": ("relu", lambda c: nnic_single(c.x, c.model.neurons[0][0], c.patterns)),
+    "nic-k": ("normalized_pair",
+              lambda c: nic_multi(c.x, c.model.neurons, c.patterns, normalized=False)),
+    "nnic-k": ("normalized_pair",
+               lambda c: nic_multi(c.x, c.model.neurons, c.patterns, normalized=True)),
+    "snic-orth": ("linear", lambda c: snic_orth(c.x, c.patterns)),
+}
 ORTHONORMAL = ("haar", "whitened_cubic")
 
 
@@ -98,23 +108,11 @@ def cmd_nic(args):
     if args.kind == "snic-orth" and args.ensemble not in ORTHONORMAL:
         raise UsageError("snic-orth needs a column-orthonormal ensemble: %s"
                          % ", ".join(ORTHONORMAL))
-    plant = {"nic-l": "linear", "nic-1": "relu", "nnic-1": "relu",
-             "nic-k": "normalized_pair", "nnic-k": "normalized_pair",
-             "snic-orth": "linear"}[args.kind]
+    plant, check = NIC_KINDS[args.kind]
     program = "grelu_normal" if plant == "normalized_pair" else "grelu_skip"
     inst = build_cell(_config(args, plant=plant, program=program),
                       args.d, args.n, 0.0, 0)
-    if args.kind == "nic-l":
-        rep = nic_linear(inst.x, inst.model.neurons[0][0], inst.patterns)
-    elif args.kind == "nic-1":
-        rep = nic_relu_single(inst.x, inst.model.neurons[0][0], inst.patterns)
-    elif args.kind == "nnic-1":
-        rep = nnic_single(inst.x, inst.model.neurons[0][0], inst.patterns)
-    elif args.kind in ("nic-k", "nnic-k"):
-        rep = nic_multi(inst.x, inst.model.neurons, inst.patterns,
-                        normalized=args.kind == "nnic-k")
-    else:
-        rep = snic_orth(inst.x, inst.patterns)
+    rep = check(inst)
     _emit([("kind", rep.kind), ("n", args.n), ("d", args.d),
            ("seed", inst.seed), ("patterns", len(rep.per_pattern)),
            ("holds", rep.holds), ("max_lhs", rep.max_lhs),

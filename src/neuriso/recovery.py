@@ -122,7 +122,9 @@ def build_program(x, patterns, y, program, beta=0.0):
     relu_normal_cone  sign-constrained pairs of the orthonormal bases
     reg_grelu_skip    grelu_skip in whitened coordinates with a group penalty
 
-    The problem's `layout` records the block order for the verdicts.
+    The program name sets the `layout`'s four facts (skip block, +/- pairs,
+    pattern bases, whitening); one loop over the patterns then builds every
+    block from them, and the verdicts read the block order from the layout.
     """
     mat = as_matrix(x)
     y = np.asarray(y, dtype=float)
@@ -134,42 +136,26 @@ def build_program(x, patterns, y, program, beta=0.0):
         raise InvalidInputError("%s is an interpolation program; beta must be 0" % program)
     if beta < 0.0:
         raise InvalidInputError("beta must be nonnegative")
-    masks = patterns.masks
     layout = ProgramLayout(x=mat, patterns=patterns, skip="_skip" in program,
                            paired=program.endswith("_cone"))
-
-    def problem(blocks, cones=None, beta=0.0):
-        return GroupProblem(blocks=blocks, target=y, beta=beta, cones=cones,
-                            layout=layout)
-
-    if program == "grelu_skip":
-        return problem([mat] + [m[:, None] * mat for m in masks])
-
-    if program == "relu_skip_cone":
-        blocks, cones = [mat], [None]
-        for m in masks:
-            gated = m[:, None] * mat
-            cone = (2.0 * m - 1.0)[:, None] * mat
-            blocks += [gated, -gated]
-            cones += [cone, cone]
-        return problem(blocks, cones)
-
-    if program in ("grelu_normal", "relu_normal_cone"):
+    if "_normal" in program:
         layout.bases = patterns.bases(mat)
-        if program == "grelu_normal":
-            return problem([sv.u for sv in layout.bases])
-        blocks, cones = [], []
-        for m, sv in zip(masks, layout.bases):
-            cone = None
-            if sv.rank:
-                cone = ((2.0 * m - 1.0)[:, None] * mat) @ (sv.v / sv.s)
-            blocks += [sv.u, -sv.u]
-            cones += [cone, cone]
-        return problem(blocks, cones)
-
-    # reg_grelu_skip: whiten through the column space
-    sv = layout.whitening = compact_svd(mat)
-    return problem([sv.u] + [m[:, None] * sv.u for m in masks], beta=float(beta))
+    if program == "reg_grelu_skip":  # whiten through the column space
+        layout.whitening = compact_svd(mat)
+    base = mat if layout.whitening is None else layout.whitening.u
+    blocks = [base] if layout.skip else []
+    cones = [None] * len(blocks)
+    for j, m in enumerate(patterns.masks):
+        block = m[:, None] * base if layout.bases is None else layout.bases[j].u
+        blocks += [block, -block] if layout.paired else [block]
+        if layout.paired:  # the sign cone, read in the pattern's basis if any
+            cone = (2.0 * m - 1.0)[:, None] * mat
+            sv = layout.basis(layout.block(j))
+            if sv is not None:
+                cone = cone @ (sv.v / sv.s) if sv.rank else None
+            cones += [cone, cone]  # one object: the solver forms one metric per cone
+    return GroupProblem(blocks=blocks, target=y, beta=float(beta),
+                        cones=cones if layout.paired else None, layout=layout)
 
 
 def _layout(sol, prob):

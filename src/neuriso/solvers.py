@@ -103,8 +103,11 @@ def _check_problem(p):
             if c is not None and c.shape[1] != b.shape[1]:
                 raise InvalidInputError("cone column count must match its block")
     arrays = blocks + [y] + [c for c in cones or () if c is not None]
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise InvalidInputError("blocks, target and cones must be finite")
+    # a finite squared norm also rules out data whose residuals overflow
+    with np.errstate(over="ignore"):
+        if not all(np.isfinite(np.linalg.norm(a)) for a in arrays):
+            raise InvalidInputError("blocks, target and cones must be finite "
+                                    "with finite squared norms")
     return blocks, y, cones
 
 

@@ -168,16 +168,63 @@ def test_enumerate_exact_degenerate_cases():
 def test_enumerate_exact_keeps_thin_cells():
     # rows 1e-6 apart, early, so that the witness margins of their thin
     # cells halve with each later split until the margin solve decides
-    # them. The set may also hold a thin cell the reference misses, since
-    # Wolfe's absolute stopping rule is loose for margins this small.
+    # them; its witness from the support rows makes both enumerations agree
     for seed in range(40):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((int(rng.integers(4, 10)), int(rng.integers(2, 5))))
         x[1] = x[0] + 1e-6 * rng.standard_normal(x.shape[1])
         ps = arr.enumerate_exact(x)
-        assert masks_of(ps) >= reference_enumeration(x)
+        assert masks_of(ps) == reference_enumeration(x)
         assert_strict_witnesses(x, ps)
 
+
+
+def lp_margin(y):
+    # the all-ones margin of the rows of y by HiGHS over the box |w| <= 1,
+    # checked in floats as min(y w) / |w|
+    from scipy.optimize import linprog
+    n, d = y.shape
+    res = linprog(np.append(np.zeros(d), -1.0), A_ub=np.hstack([-y, np.ones((n, 1))]),
+                  b_ub=np.zeros(n), bounds=[(-1.0, 1.0)] * d + [(None, 1.0)],
+                  method="highs", options=dict(primal_feasibility_tolerance=1e-10,
+                                               dual_feasibility_tolerance=1e-10))
+    w = res.x[:d]
+    return float(np.min(y @ w) / np.linalg.norm(w)) if np.any(w != 0.0) else 0.0
+
+
+def near_antipodal_rows(seed):
+    # two rows 1e-8 apart: a sign vector that splits them leaves a hull
+    # whose min-norm point is a difference of O(1) rows
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((6, 4))
+    i, j = rng.choice(6, 2, replace=False)
+    x[j] = x[i] + 1e-8 * rng.standard_normal(4)
+    return x
+
+
+def test_allones_margin_is_never_negative():
+    # v / |v| carried cancellation error beyond the margin, and a loose stop
+    # can leave v short of the optimum: 928 of these 3840 sign vectors came
+    # back with t < 0, down to -3.1e-3
+    signs = 2.0 * np.array(list(itertools.product((0, 1), repeat=6))) - 1.0
+    for seed in range(60):
+        x = near_antipodal_rows(seed)
+        for s in signs:
+            t, w = arr.allones_margin(x * s[:, None])
+            assert t >= 0.0 and t == np.min((x * s[:, None]) @ w)
+
+
+def test_enumerate_exact_keeps_cells_whose_margin_solve_cancels():
+    # seed 0 has 14 cells of margin 1e-9 to 7e-9 that the LP certifies and
+    # the margin solve used to miss, (0, 0, 1, 1, 0, 0) among them; every
+    # kept cell has a float-checked witness
+    x = near_antipodal_rows(0)
+    ps = arr.enumerate_exact(x)
+    oracle = {bits for bits in itertools.product((0, 1), repeat=6)
+              if lp_margin(x * (2.0 * np.array(bits) - 1.0)[:, None]) > arr.MARGIN_EPS}
+    assert (0, 0, 1, 1, 0, 0) in oracle
+    assert masks_of(ps) >= oracle
+    assert_strict_witnesses(x, ps)
 
 def test_cells_short_of_margin_go_to_the_margin_solve():
     x = halfplane_3x2()  # rows e1, e2, e1 + e2

@@ -70,6 +70,9 @@ def test_usage_errors_exit_2(capsys):
                      "--n", "10", "--d", "3"]) == 2
     # a zero threshold used to fall back to the 1e-4 default in one-shot commands
     assert dispatch(["solve", "--n", "10", "--d", "3", "--tol", "0"]) == 2
+    # noise whose squares overflow used to print converged=1, objective=inf
+    for sigma in ("1e300", "1e160", "1e155"):
+        assert dispatch(["solve", "--n", "6", "--d", "3", "--sigma", sigma]) == 2
     # a Haar matrix needs n >= d; the shape error used to exit 1
     assert dispatch(["solve", "--n", "5", "--d", "10", "--ensemble", "haar"]) == 2
     # non-finite theory inputs used to print nan or a made-up binding
@@ -351,6 +354,18 @@ def test_readme_config_example_runs(tmp_path, monkeypatch, capsys):
     pairs = kv(capsys)
     assert int(pairs["cells"]) == len(cfg.d_values) * len(cfg.n_values)
     assert (tmp_path / cfg.out).exists()
+
+
+def test_readme_python_round_trip_runs():
+    # the README's python block, run as written in a fresh interpreter
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    out = subprocess.run([sys.executable, "-c", block], capture_output=True,
+                         text=True, timeout=120, env=package_env())
+    assert out.returncode == 0, out.stderr
+    holds, success, distance = out.stdout.split()
+    assert (holds, success) == ("True", "True")
+    assert float(distance) < 1e-6
 
 
 # ---------------------------------------------------------------- one-shot

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from neuriso import arrangements as arr
 from neuriso import ensembles as ens
@@ -92,6 +92,7 @@ def test_build_program_shapes():
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 10), d=st.integers(1, 4), count=st.integers(1, 12),
        seed=st.integers(0, 2**32 - 1), program=st.sampled_from(rec.PROGRAMS))
+@example(n=1, d=2, count=12, seed=0, program="relu_normal_cone")  # a rank-0 pattern
 def test_layout_maps_every_pattern_to_its_blocks(n, d, count, seed, program):
     x = ens.gen_matrix("gaussian", n, d, seed=seed).mat
     ps = arr.sample_patterns(x, count, seed=seed + 1)
@@ -100,9 +101,16 @@ def test_layout_maps_every_pattern_to_its_blocks(n, d, count, seed, program):
     lay = prob.layout
     p = len(ps.patterns)
     assert len(prob.blocks) == int(lay.skip) + (2 if lay.paired else 1) * p
+    assert (prob.cones is None) == (not lay.paired)
+    if lay.paired and lay.skip:
+        assert prob.cones[0] is None  # the pass-through block is free
     for j, m in enumerate(ps.masks):
+        # the sign cone (2 D_j - I) X, read in the pattern's basis when normalized
+        cone = (2.0 * m - 1.0)[:, None] * x
         if lay.bases is not None:  # normalized: the pattern's basis
-            block = lay.bases[j].u
+            sv = lay.bases[j]
+            block = sv.u
+            cone = cone @ (sv.v / sv.s) if sv.rank else None
         else:  # gated: the pattern's mask on X, or on X's whitened basis
             base = x if lay.whitening is None else lay.whitening.u
             block = m[:, None] * base
@@ -110,6 +118,10 @@ def test_layout_maps_every_pattern_to_its_blocks(n, d, count, seed, program):
             b = lay.block(j, neg)
             assert lay.pattern(b) == (j, neg)
             assert np.array_equal(prob.blocks[b], -block if neg else block)
+            if lay.paired:  # one cone object per pair: one solver metric
+                assert prob.cones[b] is prob.cones[lay.block(j)]
+                assert (prob.cones[b] is None if cone is None
+                        else np.array_equal(prob.cones[b], cone))
 
 
 # ---------------------------------------------------------------- assessment

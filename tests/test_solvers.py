@@ -408,6 +408,32 @@ def test_solvers_reject_non_finite_problems():
             solve(sol.GroupProblem(**problem), opts)
 
 
+
+def test_solvers_reject_overflowing_problems():
+    # finite entries whose squares overflow used to turn the relative
+    # residuals into NaN, which passed the stopping test: a target of norm
+    # 1e160 came back converged with an infinite objective
+    opts = sol.SolverOptions(max_iter=50)
+    x = ens.gen_matrix("gaussian", 12, 3, seed=4).mat
+    y = x @ np.ones(3)
+    big_y = y / np.linalg.norm(y) * 1e160
+    cases = [(sol.solve_group_min_norm, dict(blocks=[x], target=big_y)),
+             (sol.solve_group_min_norm, dict(blocks=[x * 1e160], target=y)),
+             (sol.solve_group_lasso, dict(blocks=[x], target=big_y, beta=0.5)),
+             (sol.solve_cone_constrained, dict(blocks=[x], target=big_y, cones=[x])),
+             (sol.solve_cone_constrained, dict(blocks=[x], target=y, cones=[x * 1e160]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve, problem in cases:
+            with pytest.raises(InvalidInputError):
+                solve(sol.GroupProblem(**problem), opts)
+        big = sol.GroupProblem(blocks=[x], target=big_y)
+        with pytest.raises(InvalidInputError):
+            sol.solve_lasso_path(big, [0.5, 0.1], opts)
+        fit = sol.solve_group_min_norm(sol.GroupProblem(blocks=[x], target=y))
+        with pytest.raises(InvalidInputError):
+            sol.verify_kkt(big, fit)
+
 def test_cone_solver_detects_joint_infeasibility():
     # without the planted cell every block is pinned to the wrong cone and
     # the gated features cannot reproduce a relu observation
