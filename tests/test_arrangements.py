@@ -178,7 +178,6 @@ def test_enumerate_exact_keeps_thin_cells():
         assert_strict_witnesses(x, ps)
 
 
-
 def lp_margin(y):
     # the all-ones margin of the rows of y by HiGHS over the box |w| <= 1,
     # checked in floats as min(y w) / |w|
@@ -225,6 +224,7 @@ def test_enumerate_exact_keeps_cells_whose_margin_solve_cancels():
     assert (0, 0, 1, 1, 0, 0) in oracle
     assert masks_of(ps) >= oracle
     assert_strict_witnesses(x, ps)
+
 
 def test_cells_short_of_margin_go_to_the_margin_solve():
     x = halfplane_3x2()  # rows e1, e2, e1 + e2

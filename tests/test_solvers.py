@@ -408,7 +408,6 @@ def test_solvers_reject_non_finite_problems():
             solve(sol.GroupProblem(**problem), opts)
 
 
-
 def test_solvers_reject_overflowing_problems():
     # finite entries whose squares overflow used to turn the relative
     # residuals into NaN, which passed the stopping test: a target of norm
@@ -433,6 +432,7 @@ def test_solvers_reject_overflowing_problems():
         fit = sol.solve_group_min_norm(sol.GroupProblem(blocks=[x], target=y))
         with pytest.raises(InvalidInputError):
             sol.verify_kkt(big, fit)
+
 
 def test_cone_solver_detects_joint_infeasibility():
     # without the planted cell every block is pinned to the wrong cone and
