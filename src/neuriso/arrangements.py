@@ -46,6 +46,8 @@ class PatternSet:
         self.masks = np.array([p.mask for p in self.patterns],
                               dtype=np.uint8).reshape(len(self.patterns), n)
         self._rows = {m.tobytes(): j for j, m in enumerate(self.masks)}
+        if len(self._rows) < len(self.masks):
+            raise InvalidInputError("a pattern set holds each mask once")
         self._bases = (None,)  # (data matrix key, CompactSvd per pattern, u, ranks)
 
     def index(self, mask):
@@ -314,7 +316,7 @@ def from_text(text):
         raise SchemaError("line 1: bad header field (%s)" % exc) from exc
     if len(lines) - 1 != p:
         raise SchemaError("header declares %d patterns, file has %d" % (p, len(lines) - 1))
-    pats = []
+    pats, seen = [], {}
     for ln_no, ln in enumerate(lines[1:], start=2):
         toks = ln.split()
         if len(toks) != 1 + d or len(toks[0]) != n or set(toks[0]) - {"0", "1"}:
@@ -325,6 +327,8 @@ def from_text(text):
             raise SchemaError("line %d: bad witness coordinate" % ln_no) from exc
         if not np.isfinite(witness).all():
             raise SchemaError("line %d: witness coordinates must be finite" % ln_no)
+        if seen.setdefault(toks[0], ln_no) != ln_no:
+            raise SchemaError("line %d: mask repeats line %d" % (ln_no, seen[toks[0]]))
         mask = np.frombuffer(toks[0].encode(), dtype=np.uint8) - ord("0")
         pats.append(ArrangementPattern(mask=mask.astype(np.uint8), witness=witness))
     return PatternSet(patterns=pats, contains_all_ones=ones, sampled=sampled)

@@ -24,11 +24,10 @@ from .arrangements import MAX_EXACT_N, enumerate_exact, pattern_of, to_text
 from .ensembles import MATRIX_KINDS, gen_gmm, gmm_success_bound
 from .errors import (InconsistentSolutionError, InvalidInputError,
                      InvalidShapeError, NeurisoError)
-from .experiments import (PLANTS, build_cell, emit_plots, fit_logistic_midpoint,
-                          load_config, run_beta_sweep, run_grid, solve_program,
-                          write_text)
-from .isometry import (nic_linear, nic_multi, nic_relu_single, nnic_single,
-                       report_to_csv, snic_orth)
+from .experiments import (NIC_KINDS, PLANTS, build_cell, emit_plots,
+                          fit_logistic_midpoint, load_config, run_beta_sweep,
+                          run_grid, solve_program, write_text)
+from .isometry import report_to_csv
 from .recovery import (PROGRAMS, network_to_text, predict,
                        reconstruct_network)
 from .solvers import solution_to_csv
@@ -36,17 +35,6 @@ from .theory import (c1_coef, c2_coef, c3_coef, curve_g1, curve_g2,
                      curve_g_single, kinematic_bound, noisy_beta_interval,
                      solve_theta_star, threshold_check)
 
-# each --kind: the plant it certifies and its check on the built instance
-NIC_KINDS = {
-    "nic-l": ("linear", lambda c: nic_linear(c.x, c.model.neurons[0][0], c.patterns)),
-    "nic-1": ("relu", lambda c: nic_relu_single(c.x, c.model.neurons[0][0], c.patterns)),
-    "nnic-1": ("relu", lambda c: nnic_single(c.x, c.model.neurons[0][0], c.patterns)),
-    "nic-k": ("normalized_pair",
-              lambda c: nic_multi(c.x, c.model.neurons, c.patterns, normalized=False)),
-    "nnic-k": ("normalized_pair",
-               lambda c: nic_multi(c.x, c.model.neurons, c.patterns, normalized=True)),
-    "snic-orth": ("linear", lambda c: snic_orth(c.x, c.patterns)),
-}
 ORTHONORMAL = ("haar", "whitened_cubic")
 
 

@@ -22,7 +22,8 @@ from .ensembles import (MATRIX_KINDS, gen_matrix, gen_observation,
                         linear_plant, normalized_plant, plant_direction,
                         relu_plant)
 from .errors import InvalidInputError, NeurisoError, SchemaError
-from .isometry import STRICT_MARGIN, nic_linear, nic_multi, nic_relu_single, nnic_single
+from .isometry import (STRICT_MARGIN, nic_linear, nic_multi, nic_relu_single, nnic_single,
+                       snic_orth)
 from .numerics import unit
 from .recovery import PROGRAMS, assess_recovery, build_program, test_distance
 from .solvers import (SolverOptions, solve_cone_constrained, solve_group_lasso,
@@ -174,13 +175,24 @@ def build_cell(cfg, d, n, sigma, trial):
                         seed=seed, test_seed=kid_test)
 
 
+# each NIC kind: the plant it certifies and its check on a built cell; each
+# check looks its function up here when it runs, so a patched name is called
+NIC_KINDS = {
+    "nic-l": ("linear", lambda c: nic_linear(c.x, c.model.neurons[0][0], c.patterns)),
+    "nic-1": ("relu", lambda c: nic_relu_single(c.x, c.model.neurons[0][0], c.patterns)),
+    "nnic-1": ("relu", lambda c: nnic_single(c.x, c.model.neurons[0][0], c.patterns)),
+    "nic-k": ("normalized_pair",
+              lambda c: nic_multi(c.x, c.model.neurons, c.patterns, normalized=False)),
+    "nnic-k": ("normalized_pair",
+               lambda c: nic_multi(c.x, c.model.neurons, c.patterns, normalized=True)),
+    "snic-orth": ("linear", lambda c: snic_orth(c.x, c.patterns)),
+}
+
+
 def _nic_report(cfg, inst):
-    if cfg.plant == "linear":
-        return nic_linear(inst.x, inst.model.neurons[0][0], inst.patterns)
-    if cfg.plant == "relu":
-        check = nnic_single if cfg.program.endswith("_cone") else nic_relu_single
-        return check(inst.x, inst.model.neurons[0][0], inst.patterns)
-    return nic_multi(inst.x, inst.model.neurons, inst.patterns, normalized=True)
+    kind = {"linear": "nic-l", "normalized_pair": "nnic-k"}.get(
+        cfg.plant, "nnic-1" if cfg.program.endswith("_cone") else "nic-1")
+    return NIC_KINDS[kind][1](inst)
 
 
 def solve_program(cfg, inst, beta):

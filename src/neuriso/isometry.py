@@ -83,14 +83,11 @@ def normalized_target(sv, w):
 
 
 def nnic_single(x, w_star, patterns):
-    """lhs_j = ||U_j^T U_i* w_tilde|| with U from the compact SVD of D X."""
-    mat = as_matrix(x)
-    w = np.asarray(w_star, dtype=float)
-    grown = with_plants(mat, patterns, [w])
-    j = grown.index(pattern_of(mat, w).mask)
-    sv = grown.bases(mat)[j]
-    return _assemble("NNIC_1", mat, grown, sv.u @ normalized_target(sv, w),
-                     [j], normalized=True)
+    """lhs_j = ||U_j^T U_i* w_tilde|| with U from the compact SVD of D X: the
+    normalized `nic_multi` with the one plant (w_star, +1)."""
+    report = nic_multi(x, [(w_star, 1.0)], patterns, normalized=True)
+    report.kind = "NNIC_1"
+    return report
 
 
 def nic_multi(x, plant, patterns, normalized):
@@ -117,7 +114,9 @@ def nic_multi(x, plant, patterns, normalized):
     if normalized:
         svs = [grown.bases(mat)[j] for j in pidx]
         target = [r * normalized_target(sv, w) for (w, r), sv in zip(plant, svs)]
-        lam = stacked_pinv_apply([sv.u.T for sv in svs], np.concatenate(target))
+        # one U^T has orthonormal rows, so its least-norm solve is U t
+        lam = (svs[0].u @ target[0] if len(svs) == 1 else
+               stacked_pinv_apply([sv.u.T for sv in svs], np.concatenate(target)))
         return _assemble("NNIC_K", mat, grown, lam, pidx, normalized=True)
     blocks = [mat.T * pm.astype(float)[None, :] for pm in pmasks]
     lam = stacked_pinv_apply(blocks, np.concatenate([r * unit(w) for w, r in plant]))

@@ -50,6 +50,9 @@ class NetworkWeights:
             self.alphas = [float(a) for a in self.alphas]
         elif self.alphas is not None:
             raise InvalidInputError("alphas only apply to the normalized arch")
+        if not all(np.isfinite(v).all()
+                   for v in [self.second_layer, self.alphas or []] + self.first_layer):
+            raise InvalidInputError("network weights and alphas must be finite")
         if self.linear_flags is None:
             self.linear_flags = ([True] + [False] * (m - 1)
                                  if self.arch == "skip" and m else [False] * m)
@@ -306,35 +309,22 @@ def predict(net, xs):
 def split_network(net, group, gammas):
     """Replace one neuron by positively scaled copies (weights sqrt(gamma))."""
     gammas = [float(g) for g in gammas]
-    if any(g < 0.0 for g in gammas):
-        raise InvalidInputError("split weights must be nonnegative")
+    if not all(0.0 <= g < np.inf for g in gammas):
+        raise InvalidInputError("split weights must be finite and nonnegative")
     if abs(sum(gammas) - 1.0) > 1e-9:
         raise InvalidInputError("split weights must sum to one")
     if not 0 <= group < len(net.first_layer):
         raise InvalidInputError("no neuron at index %d" % group)
-    first, second, alphas, flags = [], [], [], []
-    for i, (w1, w2) in enumerate(zip(net.first_layer, net.second_layer)):
-        if i != group:
-            first.append(w1)
-            second.append(w2)
-            flags.append(net.linear_flags[i])
-            if net.arch == "normalized":
-                alphas.append(net.alphas[i])
-            continue
-        for g in gammas:
-            root = np.sqrt(g)
-            flags.append(net.linear_flags[i])
-            if net.arch == "normalized":
-                # the normalized activation ignores first-layer scale
-                first.append(w1)
-                second.append(root * w2)
-                alphas.append(root * net.alphas[i])
-            else:
-                first.append(root * w1)
-                second.append(root * w2)
-    return NetworkWeights(arch=net.arch, first_layer=first, second_layer=second,
-                          alphas=alphas if net.arch == "normalized" else None,
-                          linear_flags=flags)
+    # (neuron, scale): each copy of the split neuron scales by sqrt(gamma)
+    parts = [(k, s) for k in range(len(net.first_layer))
+             for s in (np.sqrt(gammas) if k == group else [1.0])]
+    normalized = net.arch == "normalized"  # its activation ignores first-layer scale
+    return NetworkWeights(
+        arch=net.arch,
+        first_layer=[net.first_layer[k] * (1.0 if normalized else s) for k, s in parts],
+        second_layer=[s * net.second_layer[k] for k, s in parts],
+        alphas=[s * net.alphas[k] for k, s in parts] if normalized else None,
+        linear_flags=[net.linear_flags[k] for k, _ in parts])
 
 
 def _canonical(net, tol):
@@ -431,15 +421,9 @@ def network_from_text(text):
         except ValueError:
             raise SchemaError("bad neuron row %r" % (ln,))
         flags.append(tok[0] == "1")
-    if not all(np.isfinite(v).all() for v in [second, alphas] + first):
-        raise SchemaError("network weights and alphas must be finite")
-    if alphas and len(alphas) != m:
-        raise SchemaError("alphas must be present on every row or none")
-    if alphas and head[1] != "normalized":
-        raise SchemaError("alphas only apply to the normalized arch")
     try:
         return NetworkWeights(arch=head[1], first_layer=first, second_layer=second,
-                              alphas=alphas if head[1] == "normalized" else None,
+                              alphas=alphas if alphas or head[1] == "normalized" else None,
                               linear_flags=flags)
     except NeurisoError as exc:
         raise SchemaError("inconsistent network file: %s" % exc)

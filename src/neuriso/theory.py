@@ -201,8 +201,8 @@ def orthant_statdim_mc(n, samples, seed=0):
 
 def kinematic_bound(n, d):
     """Two-sided probability bound for a realizable all-ones pattern at size (n, d)."""
-    if n < 1 or d < 1:
-        raise InvalidInputError("n and d must be at least 1")
+    if not all(math.isfinite(v) and v >= 1 and v == int(v) for v in (n, d)):
+        raise InvalidInputError("n and d must be integers of at least 1")
     alpha = (n / 2.0 - d) ** 2 / (64.0 * n * n)
     if n > 2 * d:
         regime = "success_whp"
@@ -279,8 +279,8 @@ class ThresholdReport:
 
 def threshold_check(n, d, sigma2):
     """Check n against the noisy-recovery sample-size requirements."""
-    if n < 1 or d < 1:
-        raise InvalidInputError("n and d must be at least 1")
+    if not all(math.isfinite(v) and v >= 1 and v == int(v) for v in (n, d)):
+        raise InvalidInputError("n and d must be integers of at least 1")
     if not 0.0 <= sigma2 < math.inf:
         raise InvalidInputError("sigma2 must be finite and nonnegative")
     noise_req = 4000.0 * sigma2 * d * math.log(54.0 * n)

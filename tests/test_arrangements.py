@@ -498,3 +498,11 @@ def test_from_text_rejects_garbage():
         toks[1] = bad
         with pytest.raises(SchemaError):
             arr.from_text("\n".join([lines[0], " ".join(toks)] + lines[2:]))
+    # a repeated mask used to load as two patterns that index found one of
+    twice = "# patterns v1 n=3 d=2 p=2 sampled=1 all_ones=0\n101 1.0 0.0\n101 0.5 0.5\n"
+    with pytest.raises(SchemaError, match="line 3: mask repeats line 2"):
+        arr.from_text(twice)
+    pat = arr.ArrangementPattern(mask=np.array([1, 0, 1], dtype=np.uint8),
+                                 witness=np.ones(2))
+    with pytest.raises(InvalidInputError):
+        arr.PatternSet(patterns=[pat, pat], contains_all_ones=False, sampled=True)

@@ -189,13 +189,17 @@ def test_multi_k1_matches_single():
     assert [tuple(m) for m, _ in single.per_pattern] == [tuple(m) for m, _ in multi.per_pattern]
     for (_, a), (_, b) in zip(single.per_pattern, multi.per_pattern):
         assert abs(a - b) < 1e-10
-    nsingle = iso.nnic_single(x, w, ps)
-    nmulti = iso.nic_multi(x, [(w, 1.0)], ps, normalized=True)
-    for (_, a), (_, b) in zip(nsingle.per_pattern, nmulti.per_pattern):
-        assert abs(a - b) < 1e-10
     # both multipliers are least-norm solutions of the same system
     assert np.linalg.norm(single.lam - multi.lam) < 1e-9
-    assert np.linalg.norm(nsingle.lam - nmulti.lam) < 1e-9
+    # NNIC_1 is the normalized one-plant case bit for bit: one plant's
+    # multiplier is U t, the least-norm solve of U^T lam = t
+    nsingle = iso.nnic_single(x, w, ps)
+    nmulti = iso.nic_multi(x, [(w, 1.0)], ps, normalized=True)
+    assert nsingle.kind == "NNIC_1"
+    assert [(tuple(m), v) for m, v in nsingle.per_pattern] == \
+        [(tuple(m), v) for m, v in nmulti.per_pattern]
+    assert nsingle.max_lhs == nmulti.max_lhs
+    assert nsingle.lam.tobytes() == nmulti.lam.tobytes()
 
 
 def test_relu_single_is_the_one_plant_multi():

@@ -430,6 +430,10 @@ def test_split_rejects_bad_gammas():
         rec.split_network(net, 0, [-0.1, 1.1])
     with pytest.raises(InvalidInputError):
         rec.split_network(net, 0, [0.4, 0.4])
+    # a NaN weight slips past the sum check and used to split into NaN
+    for gammas in ([np.nan], [np.inf], [0.5, np.nan]):
+        with pytest.raises(InvalidInputError):
+            rec.split_network(net, 0, gammas)
 
 
 def test_split_normalized_arch():
@@ -461,6 +465,12 @@ def test_network_weights_validation():
     with pytest.raises(InvalidInputError):
         rec.NetworkWeights(arch="normalized", first_layer=[np.ones(3)],
                            second_layer=[1.0], alphas=None)
+    for bad in (np.nan, np.inf, -np.inf):
+        for first, second, alphas in (([bad, 1.0], 1.0, 1.0), ([1.0, 1.0], bad, 1.0),
+                                      ([1.0, 1.0], 1.0, bad)):
+            with pytest.raises(InvalidInputError):
+                rec.NetworkWeights(arch="normalized", first_layer=[first],
+                                   second_layer=[second], alphas=[alphas])
 
 
 # ---------------------------------------------------------------- text format

@@ -362,6 +362,13 @@ def test_kinematic_values():
 def test_kinematic_bound_validation():
     with pytest.raises(InvalidInputError):
         theory.kinematic_bound(0, 3)
+    # nan used to raise a bare ValueError, and 2.5 to report n = 2 with
+    # the alpha of n = 2.5
+    for n, d in ((np.nan, 3), (2.5, 1), (np.inf, 3), (10, np.nan), (10, 1.5)):
+        with pytest.raises(InvalidInputError):
+            theory.kinematic_bound(n, d)
+        with pytest.raises(InvalidInputError):
+            theory.threshold_check(n, d, 1.0)
 
 
 def test_kinematic_regimes_match_allones_frequency():
