@@ -126,8 +126,10 @@ def build_program(x, patterns, y, program, beta=0.0):
     reg_grelu_skip    grelu_skip in whitened coordinates with a group penalty
 
     The program name sets the `layout`'s four facts (skip block, +/- pairs,
-    pattern bases, whitening); one loop over the patterns then builds every
-    block from them, and the verdicts read the block order from the layout.
+    pattern bases, whitening), and the verdicts read the block order from the
+    layout. A gated program writes its blocks in place into one read-only
+    `operator` and keeps them as its column slices; a normalized program's
+    blocks are the pattern set's shared bases, which the solvers stack.
     """
     mat = as_matrix(x)
     y = np.asarray(y, dtype=float)
@@ -145,19 +147,26 @@ def build_program(x, patterns, y, program, beta=0.0):
         layout.bases = patterns.bases(mat)
     if program == "reg_grelu_skip":  # whiten through the column space
         layout.whitening = compact_svd(mat)
-    base = mat if layout.whitening is None else layout.whitening.u
-    blocks = [base] if layout.skip else []
-    cones = [None] * len(blocks)
-    for j, m in enumerate(patterns.masks):
-        block = m[:, None] * base if layout.bases is None else layout.bases[j].u
-        blocks += [block, -block] if layout.paired else [block]
-        if layout.paired:  # the sign cone, read in the pattern's basis if any
-            cone = (2.0 * m - 1.0)[:, None] * mat
-            sv = layout.basis(layout.block(j))
-            if sv is not None:
-                cone = cone @ (sv.v / sv.s) if sv.rank else None
-            cones += [cone, cone]  # one object: the solver forms one metric per cone
-    return GroupProblem(blocks=blocks, target=y, beta=float(beta),
+    base, operator = mat if layout.whitening is None else layout.whitening.u, None
+    if layout.bases is None:  # gated: every block is a column slice of one operator
+        (n, k), p, copies = base.shape, len(patterns.masks), 1 + int(layout.paired)
+        operator = np.empty((n, k + p * copies * k))
+        operator[:, :k] = base
+        gated = operator[:, k:].reshape(n, p, copies, k)
+        np.multiply(patterns.masks.T.reshape(n, p, 1), base[:, None], out=gated[:, :, 0])
+        np.negative(gated[:, :, :1], out=gated[:, :, 1:])  # the (-) copies, if paired
+        operator.flags.writeable = False
+        blocks = np.split(operator, 1 + p * copies, axis=1)
+    else:
+        blocks = [b for sv in layout.bases for b in ((sv.u, -sv.u) if layout.paired else (sv.u,))]
+    cones = [None] * int(layout.skip)
+    for j, m in enumerate(patterns.masks if layout.paired else ()):
+        cone = (2.0 * m - 1.0)[:, None] * mat  # the sign cone, read in the pattern's basis if any
+        sv = layout.basis(layout.block(j))
+        if sv is not None:
+            cone = cone @ (sv.v / sv.s) if sv.rank else None
+        cones += [cone, cone]  # one object: the solver forms one metric per cone
+    return GroupProblem(blocks=blocks, target=y, beta=float(beta), operator=operator,
                         cones=cones if layout.paired else None, layout=layout)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, InvalidInputError
+from .errors import InfeasibleError, InvalidInputError, InvalidShapeError
 from .isometry import STRICT_MARGIN, nic_linear, nic_multi
 from .numerics import as_matrix, compact_svd, row_norms
 
@@ -47,6 +47,7 @@ class GroupProblem:
     beta: float = 0.0          # 0 means exact interpolation
     cones: list = None         # optional C_j with C_j w_j >= 0; None entries free
     layout: object = None      # recovery.ProgramLayout; None when hand-built
+    operator: np.ndarray = None  # read-only (n, P) A whose column slices are the blocks
 
 
 @dataclass
@@ -82,7 +83,15 @@ class KktReport:
 
 
 def _check_problem(p):
-    blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in p.blocks]
+    # (blocks, operator, target, cones), validated; the operator is p's when the
+    # blocks are its consecutive column slices, else the blocks stacked once
+    blocks = [np.asarray(b, dtype=float) for b in p.blocks]
+    cones = None if p.cones is None else [
+        None if c is None else np.asarray(c, dtype=float) for c in p.cones]
+    flat = [(kind, j, m.ndim) for kind, ms in (("block", blocks), ("cone", cones or ()))
+            for j, m in enumerate(ms) if m is not None and m.ndim != 2]
+    if flat:
+        raise InvalidShapeError("%s %d is %d-d, not a matrix" % flat[0])
     if not blocks:
         raise InvalidInputError("problem needs at least one block")
     n = blocks[0].shape[0]
@@ -93,22 +102,23 @@ def _check_problem(p):
         raise InvalidInputError("target length must match block rows")
     if not np.isfinite(p.beta) or p.beta < 0:
         raise InvalidInputError("beta must be finite and nonnegative")
-    cones = None
-    if p.cones is not None:
-        if len(p.cones) != len(blocks):
+    if cones is not None:
+        if len(cones) != len(blocks):
             raise InvalidInputError("cones must align one-to-one with blocks")
-        cones = [None if c is None else np.atleast_2d(np.asarray(c, dtype=float))
-                 for c in p.cones]
-        for b, c in zip(blocks, cones):
-            if c is not None and c.shape[1] != b.shape[1]:
-                raise InvalidInputError("cone column count must match its block")
-    arrays = blocks + [y] + [c for c in cones or () if c is not None]
+        if any(c is not None and c.shape[1] != b.shape[1] for b, c in zip(blocks, cones)):
+            raise InvalidInputError("cone column count must match its block")
+    a, ends = p.operator, np.cumsum([0] + [b.shape[1] for b in blocks])
+    if not (a is not None and a.flags.c_contiguous and a.shape == (n, ends[-1]) and all(
+            b.base is a and b.strides == a.strides
+            and b.ctypes.data == a.ctypes.data + a.itemsize * e for b, e in zip(blocks, ends))):
+        a = np.hstack(blocks)
+    arrays = [a, y] + [c for c in cones or () if c is not None]
     # a finite squared norm also rules out data whose residuals overflow
     with np.errstate(over="ignore"):
-        if not all(np.isfinite(np.linalg.norm(a)) for a in arrays):
+        if not all(np.isfinite(np.linalg.norm(m)) for m in arrays):
             raise InvalidInputError("blocks, target and cones must be finite "
                                     "with finite squared norms")
-    return blocks, y, cones
+    return blocks, a, y, cones
 
 
 @dataclass
@@ -176,7 +186,7 @@ def cho_factor(a):
     return cho_factor(a)
 
 
-def _admm(blocks, y, cones, opts):
+def _admm(blocks, a, y, cones, opts):
     # Cone rows C_j w_j = s_j get slacks s_j >= 0 with scaled multipliers v_j.
     # The w-step minimizes ||w - (z - u)||^2 + sum_j ||C_j w_j - (s_j - v_j)||^2
     # over Aw = y: with Q_j = I + C_j^T C_j (I on a free block), q =
@@ -186,7 +196,6 @@ def _admm(blocks, y, cones, opts):
     # Buffers are allocated once per solve; out= keeps each step's kernel and bits.
     cols = _columns([b.shape[1] for b in blocks])
     sl = cols.slices
-    a = np.hstack(blocks)
     coned = np.array([j for j, c in enumerate(cones) if c is not None], dtype=int)
     # slacks and scaled multipliers of every cone row, stacked block by block
     rows = _columns([cones[j].shape[0] for j in coned], [cones[j].shape for j in coned])
@@ -338,12 +347,12 @@ def solve_group_min_norm(p, opts=None):
     zero. An unreachable target raises InfeasibleError; hitting the
     iteration cap returns a report with converged False.
     """
-    blocks, y, cones = _check_problem(p)
+    blocks, a, y, cones = _check_problem(p)
     if p.beta != 0.0:
         raise InvalidInputError("interpolation solve requires beta = 0")
     if cones is not None:
         raise InvalidInputError("use solve_cone_constrained for cone problems")
-    return _admm(blocks, y, [None] * len(blocks), opts or SolverOptions())
+    return _admm(blocks, a, y, [None] * len(blocks), opts or SolverOptions())
 
 
 def _power_step(a):
@@ -432,14 +441,13 @@ def solve_lasso_path(p, betas, opts=None):
     its exact optimum, at once. beta = 0 is min-norm.
     """
     opts = opts or SolverOptions()
-    blocks, y, cones = _check_problem(p)
+    blocks, a, y, cones = _check_problem(p)
     betas = [float(b) for b in betas]
     if not all(0.0 < b < np.inf for b in betas):
         raise InvalidInputError("penalized solve requires beta > 0")
     if cones is not None:
         raise InvalidInputError("use solve_cone_constrained for cone problems")
     cols = _columns([b.shape[1] for b in blocks])
-    a = np.hstack(blocks)
     w = np.zeros((len(betas), cols.total))
     if not (betas and a.any()):  # every gradient A_j^T r is zero, inside the beta ball
         return [_lasso_solution(a, cols, w[k], y, b, 0, True) for k, b in enumerate(betas)]
@@ -497,12 +505,12 @@ def solve_cone_constrained(p, opts=None):
     sum_j A_j Q_j^-1 A_j^T. A target outside the blocks' span, or cones that
     stall the constraint residual, raise InfeasibleError after the factorization.
     """
-    blocks, y, cones = _check_problem(p)
+    blocks, a, y, cones = _check_problem(p)
     if p.beta != 0.0:
         raise InvalidInputError("cone solve requires beta = 0")
     if cones is None:
         raise InvalidInputError("cone solve needs cone matrices (None entries allowed)")
-    return _admm(blocks, y, cones, opts or SolverOptions())
+    return _admm(blocks, a, y, cones, opts or SolverOptions())
 
 
 def build_certificate(x, patterns, plant, kind):
@@ -548,22 +556,20 @@ def verify_kkt(p, s, tol=1e-8):
     only) and cone feasibility. Cone multipliers are recovered per block by
     nonnegative least squares.
     """
-    blocks, y, cones = _check_problem(p)
+    blocks, a, y, cones = _check_problem(p)
     weights = [np.asarray(w, dtype=float).ravel() for w in s.weights]
     if len(weights) != len(blocks):
         raise InvalidInputError("solution and problem block counts differ")
     if any(w.size != b.shape[1] for w, b in zip(weights, blocks)):
         raise InvalidInputError("solution block widths differ from the problem's")
-    lam = np.asarray(s.dual, dtype=float).ravel()
+    w, lam = np.concatenate(weights), np.asarray(s.dual, dtype=float).ravel()
+    if lam.size != y.size or not (np.isfinite(w).all() and np.isfinite(lam).all()):
+        raise InvalidInputError("solution weights and dual must be finite, one dual per row")
     th = float(p.beta) if p.beta > 0 else 1.0
-    stat, dual_f, cone_v = _block_kkt(
-        np.concatenate([b.T @ lam for b in blocks]), np.concatenate(weights),
-        _columns([b.shape[1] for b in blocks]), th, cones)
-    if p.beta == 0.0:
-        fit = sum(b @ w for b, w in zip(blocks, weights)) - y
-        primal = float(np.linalg.norm(fit) / max(1.0, np.linalg.norm(y)))
-    else:
-        primal = 0.0
+    stat, dual_f, cone_v = _block_kkt(a.T @ lam, w, _columns([b.shape[1] for b in blocks]),
+                                      th, cones)
+    primal = (float(np.linalg.norm(a @ w - y) / max(1.0, np.linalg.norm(y)))
+              if p.beta == 0.0 else 0.0)
     ok = max(stat, dual_f, primal, cone_v) < tol
     return KktReport(stationarity=stat, dual_feasibility=dual_f,
                      primal=primal, cone=cone_v, ok=bool(ok))

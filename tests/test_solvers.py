@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from neuriso import arrangements as arr
 from neuriso import ensembles as ens
+from neuriso import experiments as ex
 from neuriso import isometry as iso
 from neuriso import recovery as rec
 from neuriso import solvers as sol
-from neuriso.errors import InfeasibleError, InvalidInputError
+from neuriso.errors import InfeasibleError, InvalidInputError, InvalidShapeError
 
 
 def gated_blocks(x, ps, skip=True):
@@ -434,6 +436,36 @@ def test_solvers_reject_overflowing_problems():
             sol.verify_kkt(big, fit)
 
 
+@pytest.mark.parametrize("check", ["min_norm", "lasso", "cone", "kkt"])
+def test_problems_reject_blocks_and_cones_that_are_not_matrices(check):
+    # a 1-d block used to become a row and fail on the target's length, and
+    # a 3-d one failed in the SVD, in matmul or in indexing with numpy's errors
+    rng = np.random.default_rng(31)
+    good = [rng.standard_normal((5, 2)) for _ in range(3)]
+    y = rng.standard_normal(5)
+    fit = sol.solve_group_min_norm(sol.GroupProblem(blocks=good, target=y))
+
+    def run(blocks, cones):
+        p = sol.GroupProblem(blocks=blocks, target=y, cones=cones)
+        if check == "min_norm":
+            return sol.solve_group_min_norm(p)
+        if check == "lasso":
+            return sol.solve_lasso_path(p, [0.5])
+        if check == "cone":
+            return sol.solve_cone_constrained(
+                dataclasses.replace(p, cones=cones or [None] * len(blocks)))
+        return sol.verify_kkt(p, fit)
+
+    for j, bad in enumerate((np.float64(1.0), rng.standard_normal(5),
+                             rng.standard_normal((5, 2, 1)))):
+        with pytest.raises(InvalidShapeError, match="block %d is %d-d" % (j, bad.ndim)):
+            run(good[:j] + [bad] + good[j + 1:], None)
+        cones = [None, np.eye(2), None]
+        cones[j] = np.ones(2) if bad.ndim < 2 else np.ones((1, 2, 1))
+        with pytest.raises(InvalidShapeError, match="cone %d is" % j):
+            run(good, cones)
+
+
 def test_cone_solver_detects_joint_infeasibility():
     # without the planted cell every block is pinned to the wrong cone and
     # the gated features cannot reproduce a relu observation
@@ -565,6 +597,68 @@ def test_shared_cone_factor_keeps_every_bit():
         assert shared.iterations == single.iterations, name
         assert all(np.array_equal(a, b) for a, b in zip(shared.weights, single.weights))
         assert np.array_equal(shared.dual, single.dual), name
+
+
+@pytest.mark.parametrize("program", rec.PROGRAMS)
+def test_built_programs_solve_as_their_hand_built_copies(program, monkeypatch):
+    # a gated program's blocks are views of its read-only operator, which the
+    # solvers read in place; a hand-built copy of the blocks is stacked once
+    # per solve. Both give the same bits, and no gated solve stacks anything
+    x = ens.gen_matrix("gaussian", 16, 3, seed=30)
+    w = ens.plant_direction(x, seed=31)
+    ps = arr.with_plants(x.mat, arr.sample_patterns(x.mat, 12, seed=32), [w])
+    prob = rec.build_program(x, ps, np.maximum(x.mat @ w, 0.0), program)
+    copy = sol.GroupProblem(blocks=[b.copy() for b in prob.blocks], target=prob.target,
+                            beta=prob.beta, cones=prob.cones)
+
+    def solve(p):
+        if p.cones is not None:
+            return [sol.solve_cone_constrained(p)]
+        return [sol.solve_group_min_norm(p), *sol.solve_lasso_path(p, (0.01, 0.1, 1.0))]
+
+    hand = solve(copy)
+    if prob.layout.bases is None:
+        a = prob.operator
+        assert a.flags.c_contiguous and not a.flags.writeable
+        assert np.array_equal(a, np.hstack(copy.blocks))
+        assert all(np.shares_memory(b, a) for b in prob.blocks)
+        with pytest.raises(ValueError):
+            prob.blocks[-1][0, 0] = 1.0
+        # blocks that are no longer the operator's slices in order are stacked
+        flipped = dataclasses.replace(prob, blocks=prob.blocks[::-1])
+        assert np.array_equal(sol._check_problem(flipped)[1], np.hstack(copy.blocks[::-1]))
+
+        def no_stack(*args, **kwargs):
+            raise AssertionError("a gated program was stacked again")
+        monkeypatch.setattr(np, "hstack", no_stack)
+    else:
+        assert prob.operator is None
+    built = solve(prob)
+    assert sol.verify_kkt(prob, built[0], tol=1e-6).ok
+    for b, h in zip(built, hand):
+        assert b.iterations == h.iterations
+        assert np.array_equal(b.dual, h.dual)
+        assert all(np.array_equal(u, v) for u, v in zip(b.weights, h.weights))
+
+
+def test_gated_solves_peak_near_one_operator():
+    # the benchmark's largest grid-linear cell: the solvers read a gated
+    # program's operator in place, so no solve holds a second copy of it
+    cfg = ex.GridConfig(d_values=(20,), n_values=(120,), trials=1, master_seed=0)
+    inst = ex.build_cell(cfg, 20, 120, 0.0, 0)
+    one = sol.SolverOptions(max_iter=1)
+    for program, solve, bound in (
+            ("grelu_skip", lambda p: sol.solve_group_min_norm(p, one), 1.5),
+            ("reg_grelu_skip", lambda p: sol.solve_lasso_path(p, [0.1], one), 0.5)):
+        prob = rec.build_program(inst.x, inst.patterns, inst.y, program)
+        size = sum(b.nbytes for b in prob.blocks)
+        tracemalloc.start()
+        try:
+            solve(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * size, (program, peak / size)
 
 
 def reference_admm(blocks, y, cones, opts):
@@ -734,7 +828,7 @@ def bit_pin_problems():
 def test_buffered_admm_equals_the_reference_bit_for_bit(max_iter):
     opts = sol.SolverOptions(max_iter=max_iter)
     for name, prob in bit_pin_problems():
-        blocks, y, cones = sol._check_problem(prob)
+        blocks, _, y, cones = sol._check_problem(prob)
         want = reference_admm(blocks, y, cones or [None] * len(blocks), opts)
         solve = sol.solve_group_min_norm if cones is None else sol.solve_cone_constrained
         got = solve(prob, opts)
@@ -830,6 +924,24 @@ def test_verify_kkt_on_certificate_and_perturbation():
     weights[i_star] = w_star[:1]
     with pytest.raises(InvalidInputError):
         sol.verify_kkt(p, manual)
+
+
+def test_verify_kkt_rejects_non_finite_and_misshapen_solutions():
+    # a NaN weight used to pass as ok with stationarity 0.0, and a dual of
+    # the wrong length failed in numpy's matmul
+    rng = np.random.default_rng(33)
+    p = sol.GroupProblem(blocks=[rng.standard_normal((5, 2)) for _ in range(3)],
+                         target=rng.standard_normal(5))
+    s = sol.solve_group_min_norm(p)
+    assert sol.verify_kkt(p, s, tol=1e-6).ok
+    nan_dual = s.dual.copy()
+    nan_dual[2] = np.nan
+    for bad in (dict(weights=[np.array([np.nan, np.nan])] + s.weights[1:]),
+                dict(weights=s.weights[:2] + [np.array([np.inf, 0.0])]),
+                dict(dual=nan_dual), dict(dual=s.dual[:4]),
+                dict(dual=np.append(s.dual, 0.0))):
+        with pytest.raises(InvalidInputError):
+            sol.verify_kkt(p, dataclasses.replace(s, **bad))
 
 
 def test_solver_kkt_regression_batch():
