@@ -128,8 +128,8 @@ def build_program(x, patterns, y, program, beta=0.0):
     The program name sets the `layout`'s four facts (skip block, +/- pairs,
     pattern bases, whitening), and the verdicts read the block order from the
     layout. A gated program writes its blocks in place into one read-only
-    `operator` and keeps them as its column slices; a normalized program's
-    blocks are the pattern set's shared bases, which the solvers stack.
+    operator and keeps them as its column slices, which the solvers read as
+    one matrix; a normalized program's blocks are the pattern set's shared bases.
     """
     mat = as_matrix(x)
     y = np.asarray(y, dtype=float)
@@ -147,7 +147,7 @@ def build_program(x, patterns, y, program, beta=0.0):
         layout.bases = patterns.bases(mat)
     if program == "reg_grelu_skip":  # whiten through the column space
         layout.whitening = compact_svd(mat)
-    base, operator = mat if layout.whitening is None else layout.whitening.u, None
+    base = mat if layout.whitening is None else layout.whitening.u
     if layout.bases is None:  # gated: every block is a column slice of one operator
         (n, k), p, copies = base.shape, len(patterns.masks), 1 + int(layout.paired)
         operator = np.empty((n, k + p * copies * k))
@@ -157,6 +157,8 @@ def build_program(x, patterns, y, program, beta=0.0):
         np.negative(gated[:, :, :1], out=gated[:, :, 1:])  # the (-) copies, if paired
         operator.flags.writeable = False
         blocks = np.split(operator, 1 + p * copies, axis=1)
+        if layout.whitening is not None:  # U lives on as the skip block alone
+            layout.whitening.u = blocks[0]
     else:
         blocks = [b for sv in layout.bases for b in ((sv.u, -sv.u) if layout.paired else (sv.u,))]
     cones = [None] * int(layout.skip)
@@ -166,7 +168,7 @@ def build_program(x, patterns, y, program, beta=0.0):
         if sv is not None:
             cone = cone @ (sv.v / sv.s) if sv.rank else None
         cones += [cone, cone]  # one object: the solver forms one metric per cone
-    return GroupProblem(blocks=blocks, target=y, beta=float(beta), operator=operator,
+    return GroupProblem(blocks=blocks, target=y, beta=float(beta),
                         cones=cones if layout.paired else None, layout=layout)
 
 

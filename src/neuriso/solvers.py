@@ -47,7 +47,6 @@ class GroupProblem:
     beta: float = 0.0          # 0 means exact interpolation
     cones: list = None         # optional C_j with C_j w_j >= 0; None entries free
     layout: object = None      # recovery.ProgramLayout; None when hand-built
-    operator: np.ndarray = None  # read-only (n, P) A whose column slices are the blocks
 
 
 @dataclass
@@ -82,9 +81,9 @@ class KktReport:
     ok: bool
 
 
-def _check_problem(p):
-    # (blocks, operator, target, cones), validated; the operator is p's when the
-    # blocks are its consecutive column slices, else the blocks stacked once
+def _check_problem(p, stack=True):
+    # (blocks, A, target, cones), validated: the operator A is the blocks' base if
+    # they are its consecutive column slices, else the blocks stacked (None unless stack)
     blocks = [np.asarray(b, dtype=float) for b in p.blocks]
     cones = None if p.cones is None else [
         None if c is None else np.asarray(c, dtype=float) for c in p.cones]
@@ -107,12 +106,12 @@ def _check_problem(p):
             raise InvalidInputError("cones must align one-to-one with blocks")
         if any(c is not None and c.shape[1] != b.shape[1] for b, c in zip(blocks, cones)):
             raise InvalidInputError("cone column count must match its block")
-    a, ends = p.operator, np.cumsum([0] + [b.shape[1] for b in blocks])
-    if not (a is not None and a.flags.c_contiguous and a.shape == (n, ends[-1]) and all(
-            b.base is a and b.strides == a.strides
+    a, ends = blocks[0].base, np.cumsum([0] + [b.shape[1] for b in blocks])
+    if not (isinstance(a, np.ndarray) and a.dtype == float and a.flags.c_contiguous
+            and a.shape == (n, ends[-1]) and all(b.base is a and b.strides == a.strides
             and b.ctypes.data == a.ctypes.data + a.itemsize * e for b, e in zip(blocks, ends))):
-        a = np.hstack(blocks)
-    arrays = [a, y] + [c for c in cones or () if c is not None]
+        a = np.hstack(blocks) if stack else None
+    arrays = ([a] if a is not None else blocks) + [y] + [c for c in cones or () if c is not None]
     # a finite squared norm also rules out data whose residuals overflow
     with np.errstate(over="ignore"):
         if not all(np.isfinite(np.linalg.norm(m)) for m in arrays):
@@ -556,20 +555,19 @@ def verify_kkt(p, s, tol=1e-8):
     only) and cone feasibility. Cone multipliers are recovered per block by
     nonnegative least squares.
     """
-    blocks, a, y, cones = _check_problem(p)
+    blocks, a, y, cones = _check_problem(p, stack=False)
     weights = [np.asarray(w, dtype=float).ravel() for w in s.weights]
-    if len(weights) != len(blocks):
-        raise InvalidInputError("solution and problem block counts differ")
-    if any(w.size != b.shape[1] for w, b in zip(weights, blocks)):
-        raise InvalidInputError("solution block widths differ from the problem's")
+    if [w.size for w in weights] != [b.shape[1] for b in blocks]:
+        raise InvalidInputError("solution block count or widths differ from the problem's")
     w, lam = np.concatenate(weights), np.asarray(s.dual, dtype=float).ravel()
     if lam.size != y.size or not (np.isfinite(w).all() and np.isfinite(lam).all()):
         raise InvalidInputError("solution weights and dual must be finite, one dual per row")
     th = float(p.beta) if p.beta > 0 else 1.0
-    stat, dual_f, cone_v = _block_kkt(a.T @ lam, w, _columns([b.shape[1] for b in blocks]),
-                                      th, cones)
-    primal = (float(np.linalg.norm(a @ w - y) / max(1.0, np.linalg.norm(y)))
-              if p.beta == 0.0 else 0.0)
+    mats, parts = ([a], [w]) if a is not None else (blocks, weights)  # one gemv, or per block
+    stat, dual_f, cone_v = _block_kkt(np.concatenate([m.T @ lam for m in mats]), w,
+                                      _columns([b.shape[1] for b in blocks]), th, cones)
+    fit = sum(m @ v for m, v in zip(mats, parts)) - y
+    primal = float(np.linalg.norm(fit) / max(1.0, np.linalg.norm(y))) if p.beta == 0.0 else 0.0
     ok = max(stat, dual_f, primal, cone_v) < tol
     return KktReport(stationarity=stat, dual_feasibility=dual_f,
                      primal=primal, cone=cone_v, ok=bool(ok))

@@ -601,9 +601,10 @@ def test_shared_cone_factor_keeps_every_bit():
 
 @pytest.mark.parametrize("program", rec.PROGRAMS)
 def test_built_programs_solve_as_their_hand_built_copies(program, monkeypatch):
-    # a gated program's blocks are views of its read-only operator, which the
+    # a gated program's blocks are views of one read-only operator, which the
     # solvers read in place; a hand-built copy of the blocks is stacked once
-    # per solve. Both give the same bits, and no gated solve stacks anything
+    # per solve. Both give the same bits, no gated solve stacks anything, and
+    # no KKT replay stacks a program's blocks
     x = ens.gen_matrix("gaussian", 16, 3, seed=30)
     w = ens.plant_direction(x, seed=31)
     ps = arr.with_plants(x.mat, arr.sample_patterns(x.mat, 12, seed=32), [w])
@@ -616,24 +617,25 @@ def test_built_programs_solve_as_their_hand_built_copies(program, monkeypatch):
             return [sol.solve_cone_constrained(p)]
         return [sol.solve_group_min_norm(p), *sol.solve_lasso_path(p, (0.01, 0.1, 1.0))]
 
+    def no_stack(*args, **kwargs):
+        raise AssertionError("a program's blocks were stacked again")
+
     hand = solve(copy)
+    a = sol._check_problem(prob)[1]
+    assert np.array_equal(a, np.hstack(copy.blocks))
     if prob.layout.bases is None:
-        a = prob.operator
+        assert a is prob.blocks[0].base
         assert a.flags.c_contiguous and not a.flags.writeable
-        assert np.array_equal(a, np.hstack(copy.blocks))
-        assert all(np.shares_memory(b, a) for b in prob.blocks)
         with pytest.raises(ValueError):
             prob.blocks[-1][0, 0] = 1.0
         # blocks that are no longer the operator's slices in order are stacked
         flipped = dataclasses.replace(prob, blocks=prob.blocks[::-1])
         assert np.array_equal(sol._check_problem(flipped)[1], np.hstack(copy.blocks[::-1]))
-
-        def no_stack(*args, **kwargs):
-            raise AssertionError("a gated program was stacked again")
         monkeypatch.setattr(np, "hstack", no_stack)
     else:
-        assert prob.operator is None
+        assert sol._check_problem(prob, stack=False)[1] is None
     built = solve(prob)
+    monkeypatch.setattr(np, "hstack", no_stack)
     assert sol.verify_kkt(prob, built[0], tol=1e-6).ok
     for b, h in zip(built, hand):
         assert b.iterations == h.iterations
@@ -641,20 +643,40 @@ def test_built_programs_solve_as_their_hand_built_copies(program, monkeypatch):
         assert all(np.array_equal(u, v) for u, v in zip(b.weights, h.weights))
 
 
-def test_gated_solves_peak_near_one_operator():
+def test_only_the_blocks_own_float_operator_is_read_in_place():
+    # A is the blocks' common base only when it is a C-contiguous float
+    # matrix whose consecutive column slices they are; anything else is stacked
+    rng = np.random.default_rng(34)
+    y = rng.standard_normal(4)
+    whole = rng.standard_normal((4, 5))
+    wide = rng.standard_normal((4, 7))
+    ints = np.arange(20, dtype=np.int64).reshape(4, 5)
+    for base, cuts, in_place in ((whole, [], True), (whole, [1, 3], True),
+                                 (wide, [2], False), (np.asfortranarray(whole), [2], False),
+                                 (ints.view(float), [2], False), (ints, [2], False)):
+        blocks = np.split(base[:, :5], cuts, axis=1)
+        a = sol._check_problem(sol.GroupProblem(blocks=blocks, target=y))[1]
+        assert np.array_equal(a, np.hstack([np.asarray(b, dtype=float) for b in blocks]))
+        assert (a is np.asarray(blocks[0], dtype=float).base) == in_place, (cuts, in_place)
+
+
+def test_solves_and_kkt_replay_peak_near_one_operator():
     # the benchmark's largest grid-linear cell: the solvers read a gated
-    # program's operator in place, so no solve holds a second copy of it
+    # program's operator in place, so no solve holds a second copy of it, and
+    # a KKT replay reads a normalized program's shared bases block by block
     cfg = ex.GridConfig(d_values=(20,), n_values=(120,), trials=1, master_seed=0)
     inst = ex.build_cell(cfg, 20, 120, 0.0, 0)
     one = sol.SolverOptions(max_iter=1)
-    for program, solve, bound in (
-            ("grelu_skip", lambda p: sol.solve_group_min_norm(p, one), 1.5),
-            ("reg_grelu_skip", lambda p: sol.solve_lasso_path(p, [0.1], one), 0.5)):
+    for program, run, bound in (
+            ("grelu_skip", lambda p, fit: sol.solve_group_min_norm(p, one), 1.5),
+            ("reg_grelu_skip", lambda p, fit: sol.solve_lasso_path(p, [0.1], one), 0.5),
+            ("grelu_normal", sol.verify_kkt, 0.5)):
         prob = rec.build_program(inst.x, inst.patterns, inst.y, program)
         size = sum(b.nbytes for b in prob.blocks)
+        fit = sol.solve_group_min_norm(prob, one)
         tracemalloc.start()
         try:
-            solve(prob)
+            run(prob, fit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
