@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (InvalidInputError, MissingPlantError, SchemaError,
                      SizeLimitError)
-from .numerics import CompactSvd, as_matrix, svd_rank
+from .numerics import CompactSvd, as_matrix, compact_svd, svd_rank
 
 MARGIN_EPS = 1e-9  # strict-realizability threshold on the unit-ball margin
 MAX_EXACT_N = 18  # row cap of exact enumeration
@@ -248,8 +248,11 @@ def enumerate_exact(x):
     x = np.asarray(x, dtype=float)
     if x.shape[0] > MAX_EXACT_N:
         raise SizeLimitError("exact enumeration capped at n = %d rows" % MAX_EXACT_N)
-    pats = [ArrangementPattern(mask=(s > 0).astype(np.uint8), witness=h)
-            for s, h in zip(*_cells(x))]
+    # rank < d, rows within 1e-12 of X's row space: cells there, with no rounding slivers
+    v = compact_svd(x).v
+    full = v.shape[1] == x.shape[1] or np.linalg.norm(x - x @ v @ v.T) > 1e-3 * MARGIN_EPS
+    pats = [ArrangementPattern(mask=(s > 0).astype(np.uint8), witness=h if full else v @ h)
+            for s, h in zip(*_cells(x if full else x @ v))]
     ones = any(np.all(p.mask == 1) for p in pats)
     return PatternSet(patterns=pats, contains_all_ones=ones, sampled=False)
 

@@ -8,13 +8,17 @@ under per-block sign cones (`solve_cone_constrained`).
 condition, which certifies when the planted blocks are the unique solution,
 and `verify_kkt` replays the optimality system on any candidate solution.
 
-Importing this module loads numpy only: scipy loads with the first cone
-solve or cone KKT replay, the only code that calls it, and any later scipy
-use must import it the same way, where it runs.
+Importing this module loads numpy only. A cone solve loads scipy's LAPACK
+extension alone, not scipy.linalg, and a cone KKT replay loads scipy.optimize
+for `nnls`; any later scipy use must import it the same way, where it runs.
 """
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
 
 import numpy as np
 
@@ -179,10 +183,23 @@ def _cone_gap(c, w):
     return float(np.max(np.maximum(-(c @ w), 0.0), initial=0.0))
 
 
-# a module-level name so the benchmark's tracer can wrap it by name
+def _lapack():
+    # scipy.linalg's LAPACK extension without that package; importing it later reuses this
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        spec = PathFinder.find_spec(name, [os.path.join(root, "linalg")])
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+# module-level so the benchmark's tracer can wrap it; scipy.linalg.cho_factor's potrf call
 def cho_factor(a):
-    from scipy.linalg import cho_factor
-    return cho_factor(a)
+    c, info = _lapack().dpotrf(a, lower=0, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError("%d-th leading minor is not positive definite" % info)
+    return c, False
 
 
 def _admm(blocks, a, y, cones, opts):
@@ -202,7 +219,7 @@ def _admm(blocks, a, y, cones, opts):
     slack, s_new, scaled, cw, rtmp = (np.zeros(rows.total) for _ in range(5))
 
     if coned.size:
-        from scipy.linalg.lapack import dpotrs
+        dpotrs = _lapack().dpotrs
 
         def runs(ids, *lists):  # (run, its slice of ids, that slice of each list's stack)
             st = [np.stack([m[j] for j in ids]) for m in lists]

@@ -108,8 +108,8 @@ def theta_curve(theta):
 
 def solve_theta_star(tol=1e-10):
     """Root of theta_curve - 1 by bisection; the sharp n/d recovery ratio is 1/root."""
-    if not tol > 0.0:
-        raise InvalidInputError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise InvalidInputError("tol must be positive and finite")
     lo, hi = 1e-4, 0.4999
     if theta_curve(lo) >= 1.0 or theta_curve(hi) <= 1.0:
         raise InvalidInputError("bracket does not straddle the root")

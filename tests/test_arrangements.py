@@ -239,8 +239,9 @@ def test_cells_short_of_margin_go_to_the_margin_solve():
 
 
 def test_enumerate_exact_needs_no_margin_solve(monkeypatch):
-    # in general position, and with zero or exactly parallel rows, every
-    # cell is decided by the witness the recursion builds
+    # in general position, with zero or exactly parallel rows, and with a
+    # duplicated column (enumerated in X's row space), every cell is decided
+    # by the witness the recursion builds
     def no_solve(x):
         raise AssertionError("margin solve ran")
     monkeypatch.setattr(arr, "allones_margin", no_solve)
@@ -254,6 +255,25 @@ def test_enumerate_exact_needs_no_margin_solve(monkeypatch):
         assert arr.enumerate_exact(x).patterns == []
         assert len(arr.enumerate_exact(x[:6]).patterns) == len(
             arr.enumerate_exact(x[[0, 1, 2, 4]]).patterns)
+    for _ in range(20):  # rank d - 1: rounding used to cut sliver cells here
+        x = rng.standard_normal((int(rng.integers(3, 10)), int(rng.integers(2, 6))))
+        x[:, -1] = x[:, 0]
+        arr.enumerate_exact(x)
+
+
+def test_enumerate_exact_keeps_cells_off_the_numerical_row_space():
+    # a column 1e-6 off a copy, at scale 1e4: compact_svd counts rank 2, but
+    # the cells that need the third direction have margins up to about 2e-7,
+    # so the rows are not moved onto that row space and all 44 cells of
+    # general position (Cover's count) stay
+    from neuriso.numerics import compact_svd
+    rng = np.random.default_rng(0)
+    x = 1e4 * rng.standard_normal((7, 3))
+    x[:, 2] = x[:, 0] + 1e-6 * rng.standard_normal(7)
+    assert compact_svd(x).rank == 2
+    ps = arr.enumerate_exact(x)
+    assert len(ps.patterns) == 44
+    assert_strict_witnesses(x, ps)
 
 
 def test_enumerate_exact_attains_cover_count():

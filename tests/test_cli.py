@@ -73,6 +73,8 @@ def test_usage_errors_exit_2(capsys):
     # noise whose squares overflow used to print converged=1, objective=inf
     for sigma in ("1e300", "1e160", "1e155"):
         assert dispatch(["solve", "--n", "6", "--d", "3", "--sigma", sigma]) == 2
+    # an infinite tolerance used to skip the bisection and print theta_star=0.25
+    assert dispatch(["theory", "theta-star", "--tol", "inf"]) == 2
     # a Haar matrix needs n >= d; the shape error used to exit 1
     assert dispatch(["solve", "--n", "5", "--d", "10", "--ensemble", "haar"]) == 2
     # non-finite theory inputs used to print nan or a made-up binding

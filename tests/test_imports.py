@@ -112,7 +112,10 @@ assert not scipy_loaded()[0], ("cone-free paths", scipy_loaded())
 cone = ex.GridConfig(d_values=(3,), n_values=(15,), trials=1, plant="relu",
                      program="relu_skip_cone", pattern_count=20)
 prob, s, _ = ex.solve_program(cone, inst, 0.0)
-assert s.converged and sol.verify_kkt(prob, s, tol=1e-6).ok
+# the solve loads scipy's LAPACK extension alone, not the scipy.linalg package
+assert s.converged and "scipy.linalg" not in sys.modules, scipy_loaded()
+assert scipy_loaded() == (1, ["scipy.linalg._flapack"]), ("cone solve", scipy_loaded())
+assert sol.verify_kkt(prob, s, tol=1e-6).ok  # nnls may load scipy.optimize
 print("ok", scipy_loaded()[0])
 """
 

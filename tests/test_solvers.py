@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -557,6 +561,47 @@ def test_one_factor_per_cone_metric(monkeypatch):
             assert calls == [(8, 8)]
         else:
             assert len(calls) == sum(sv.rank > 0 for sv in prob.layout.bases)
+
+
+# a fresh interpreter, so that no earlier test has imported scipy.linalg: the
+# solver's factor must equal scipy.linalg.cho_factor's byte for byte, and a
+# later import of scipy.linalg must reuse the LAPACK extension the solve loaded
+FACTOR_BITS = """
+import sys
+import numpy as np
+from neuriso import arrangements as arr, ensembles as ens, recovery as rec, solvers as sol
+
+x = ens.gen_matrix("gaussian", 30, 5, seed=20)
+ps = arr.sample_patterns(x.mat, 50, seed=21)
+prob = rec.build_program(x, ps, x.mat @ ens.plant_direction(x, seed=22), "relu_skip_cone")
+assert sol.solve_cone_constrained(prob).converged and "scipy.linalg" not in sys.modules
+rng = np.random.default_rng(23)
+c = next(c for c in prob.cones if c is not None)
+metrics = [np.eye(5) + c.T @ c]
+for k in (0, 1, 2, 5, 10):
+    m = rng.standard_normal((k + 2, k))
+    metrics.append(m.T @ m + 0.1 * np.eye(k))
+ours = [sol.cho_factor(q) for q in metrics]
+
+import scipy.linalg
+import scipy.linalg.lapack
+for q, (fc, lower) in zip(metrics, ours):
+    ref, ref_lower = scipy.linalg.cho_factor(q)
+    assert lower is ref_lower and fc.dtype == ref.dtype and fc.shape == ref.shape
+    assert fc.tobytes() == ref.tobytes(), q.shape
+flapack = sys.modules["scipy.linalg._flapack"]
+assert scipy.linalg.lapack.dpotrs is flapack.dpotrs is sol._lapack().dpotrs
+print("ok")
+"""
+
+
+def test_cone_factor_matches_scipy_bit_for_bit():
+    src = pathlib.Path(sol.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", FACTOR_BITS], capture_output=True,
+                         text=True, timeout=120, env=env)
+    assert out.returncode == 0 and out.stdout.split() == ["ok"], out.stderr
 
 
 @pytest.mark.parametrize("d", [3, 5, 10])

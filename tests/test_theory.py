@@ -126,8 +126,10 @@ def test_theta_tail_closed_form():
 
 
 def test_solve_theta_star_rejects_bad_tol():
-    with pytest.raises(InvalidInputError):
-        theory.solve_theta_star(0.0)
+    # an infinite tolerance used to skip every step and return the bracket's midpoint
+    for tol in (0.0, np.inf):
+        with pytest.raises(InvalidInputError):
+            theory.solve_theta_star(tol)
 
 
 # ---------------------------------------------------------------- single-neuron curve
